@@ -21,18 +21,13 @@ from .amplitudes import (
     AmplitudeModel,
     AmplitudePair,
     PotentialKind,
-    TransferMatrix,
-    compose,
     delta_amplitudes,
     double_delta_amplitudes,
     find_resonances,
     hardcore_amplitudes,
-    point_scatterer_tm,
-    tm_amplitudes,
     unitarity_residual,
 )
 from .wavefunction import (
-    EvalTally,
     GaussianInState,
     IncomingnessWarning,
     Mode,
@@ -56,7 +51,6 @@ from .purity import (
     purity_adaptive,
     purity_from_matrix,
     purity_out,
-    purity_pq,
     purity_pq_adaptive,
 )
 from .analytic import (
@@ -82,13 +76,9 @@ __all__ = [
     # amplitudes
     "PotentialKind",
     "AmplitudePair",
-    "TransferMatrix",
     "AmplitudeModel",
     "hardcore_amplitudes",
     "delta_amplitudes",
-    "point_scatterer_tm",
-    "compose",
-    "tm_amplitudes",
     "double_delta_amplitudes",
     "find_resonances",
     "unitarity_residual",
@@ -97,7 +87,6 @@ __all__ = [
     "IncomingnessWarning",
     "Mode",
     "ModeWavefunction",
-    "EvalTally",
     "eval_in",
     "eval_reflected_in",
     "eval_mode",
@@ -113,7 +102,6 @@ __all__ = [
     "gram_purity",
     "purity_adaptive",
     "purity_out",
-    "purity_pq",
     "purity_pq_adaptive",
     "mode_grid",
     "joint_grid",

@@ -1,18 +1,24 @@
 """Transmission/reflection amplitudes t(q), r(q) for 1D potentials.
 
-Implemented potentials: impenetrable core (t = 0, r = -1), single Dirac
-delta, and a symmetric double Dirac delta built by composing point-scatterer
-transfer matrices. Conventions:
+Every potential is a chain of point scatterers, stored as (|alpha|, x) pairs
+sorted by position: none for the impenetrable core, one at the origin for
+the single Dirac delta, two at -a and +a for the symmetric double delta, any
+number for a composite. Conventions:
 
 * q is the incident relative momentum and must be positive. The models are
   even under q -> -q; callers that need amplitudes on the outgoing branch
   evaluate at |q| (see the wavefunction module).
 * A point scatterer of strength alpha couples through b = mu_red * alpha
   (hbar = 1); the single delta has r = i/(x - i), t = 1 + r with x = q/b.
-* Double-delta amplitudes come from the composed transfer matrix, which keeps
-  |t|^2 + |r|^2 = 1 exact. The shortcut "r = t - 1" holds only for a single
-  scatterer at the origin and is not used for composites. Resonant
-  transmission happens at the roots of tan(2*a*q) = -q/b.
+* The hard core (t = 0, r = -1) and the single delta keep these closed
+  forms. A one-link transfer-matrix chain gives the same delta amplitudes
+  but costs several times more per momentum, and delta purity runs spend a
+  noticeable share of their time evaluating amplitudes.
+* Double-delta and composite amplitudes come from the product of the
+  scatterers' transfer matrices, which keeps |t|^2 + |r|^2 = 1 exact. The
+  shortcut "r = t - 1" holds only for a single scatterer at the origin and
+  is not used for chains. Double-delta resonant transmission happens at the
+  roots of tan(2*a*q) = -q/b.
 * Attractive and repulsive deltas scatter identically in modulus and the
   adopted phase convention, so strengths are stored as |alpha|.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,13 +37,9 @@ from .kinematics import MassPartition
 __all__ = [
     "PotentialKind",
     "AmplitudePair",
-    "TransferMatrix",
     "AmplitudeModel",
     "hardcore_amplitudes",
     "delta_amplitudes",
-    "point_scatterer_tm",
-    "compose",
-    "tm_amplitudes",
     "double_delta_amplitudes",
     "find_resonances",
     "unitarity_residual",
@@ -58,17 +60,6 @@ class AmplitudePair(NamedTuple):
 
     t: ComplexLike
     r: ComplexLike
-
-
-class TransferMatrix(NamedTuple):
-    """2x2 complex matrix relating plane-wave coefficients left of a scatterer
-    to those on its right, tagged with the momentum grid it was built on."""
-
-    m11: ComplexLike
-    m12: ComplexLike
-    m21: ComplexLike
-    m22: ComplexLike
-    q: np.ndarray
 
 
 def _as_positive_q(q) -> np.ndarray:
@@ -103,80 +94,48 @@ def delta_amplitudes(q, alpha: float, mp: MassPartition) -> AmplitudePair:
     return _pair_like(q, 1.0 + r, r)
 
 
-def point_scatterer_tm(
-    q, alpha: float, position: float, mp: MassPartition
-) -> TransferMatrix:
-    """Transfer matrix of a delta of strength alpha >= 0 sitting at ``position``.
+def _link(q: np.ndarray, alpha: float, x: float, mp: MassPartition) -> tuple:
+    """Transfer matrix (M11, M12, M21, M22) of a delta of strength alpha >= 0 at x.
 
-    With g = i*b/q, b = mu_red*alpha:
+    With g = i*b/q and b = mu_red*alpha,
 
-        M = [[1 + g,              g*exp(+2i*q*position)],
-             [-g*exp(-2i*q*position),          1 - g   ]]
+        M = [[1 + g,          g*exp(+2i*q*x)],
+             [-g*exp(-2i*q*x),         1 - g]],
 
-    det M = 1 identically; alpha = 0 gives the identity. The sign of g is
-    fixed so that a single scatterer at the origin reproduces
-    :func:`delta_amplitudes` exactly.
+    so det M = 1 and alpha = 0 gives the identity. The sign of g makes a
+    single scatterer at the origin reproduce :func:`delta_amplitudes`.
     """
-    arr = _as_positive_q(q)
-    if alpha < 0.0:
-        raise ValueError(f"scatterer strength must be non-negative, got {alpha}")
-    g = 1j * (mp.mu_red * alpha) / arr
-    phase = np.exp(2j * arr * position)
-    return TransferMatrix(
-        m11=1.0 + g,
-        m12=g * phase,
-        m21=-g / phase,
-        m22=1.0 - g,
-        q=arr,
-    )
+    g = 1j * (mp.mu_red * alpha) / q
+    phase = np.exp(2j * q * x)
+    return 1.0 + g, g * phase, -g / phase, 1.0 - g
 
 
-def compose(tms: Sequence[TransferMatrix]) -> TransferMatrix:
-    """Compose transfer matrices of scatterers listed from left to right.
+def _chain_amplitudes(
+    q: np.ndarray, scatterers: Sequence[Tuple[float, float]], mp: MassPartition
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, r) of point scatterers listed left to right.
 
-    The product is taken in propagation order (rightmost matrix acts last),
-    so compose([A, B]) = B @ A entrywise. All matrices must share the same
-    momentum grid.
+    The chain's transfer matrix is the product of the links' matrices in
+    propagation order (the rightmost scatterer acts last); then
+    t = det(M)/M22 and r = -M21/M22.
     """
-    if len(tms) == 0:
-        raise ValueError("need at least one transfer matrix")
-    first_q = np.asarray(tms[0].q)
-    for tm in tms[1:]:
-        if not np.array_equal(np.asarray(tm.q), first_q):
-            raise ValueError("transfer matrices evaluated on different momentum grids")
-    total = tms[0]
-    for nxt in tms[1:]:
-        total = TransferMatrix(
-            m11=nxt.m11 * total.m11 + nxt.m12 * total.m21,
-            m12=nxt.m11 * total.m12 + nxt.m12 * total.m22,
-            m21=nxt.m21 * total.m11 + nxt.m22 * total.m21,
-            m22=nxt.m21 * total.m12 + nxt.m22 * total.m22,
-            q=first_q,
+    m11, m12, m21, m22 = _link(q, *scatterers[0], mp)
+    for alpha, x in scatterers[1:]:
+        n11, n12, n21, n22 = _link(q, alpha, x, mp)
+        m11, m12, m21, m22 = (
+            n11 * m11 + n12 * m21,
+            n11 * m12 + n12 * m22,
+            n21 * m11 + n22 * m21,
+            n21 * m12 + n22 * m22,
         )
-    return total
-
-
-def tm_amplitudes(tm: TransferMatrix) -> AmplitudePair:
-    """Extract (t, r) from a transfer matrix: t = det(M)/M22, r = -M21/M22."""
-    det = tm.m11 * tm.m22 - tm.m12 * tm.m21
-    t = det / tm.m22
-    r = -tm.m21 / tm.m22
-    return _pair_like(tm.q, np.asarray(t), np.asarray(r))
+    return (m11 * m22 - m12 * m21) / m22, -m21 / m22
 
 
 def double_delta_amplitudes(
     q, alpha: float, half_separation: float, mp: MassPartition
 ) -> AmplitudePair:
     """Two deltas of strength alpha at -a and +a, composed via transfer matrices."""
-    arr = _as_positive_q(q)
-    if not alpha > 0.0:
-        raise ValueError(f"delta strength must be positive, got {alpha}")
-    if not half_separation > 0.0:
-        raise ValueError(f"half separation must be positive, got {half_separation}")
-    left = point_scatterer_tm(arr, alpha, -half_separation, mp)
-    right = point_scatterer_tm(arr, alpha, +half_separation, mp)
-    t, r = tm_amplitudes(compose([left, right]))
-    return _pair_like(q, np.asarray(t), np.asarray(r))
+    return AmplitudeModel.double_dirac_delta(alpha, half_separation, mp).amplitudes(q)
 
 
 def unitarity_residual(pair: AmplitudePair) -> ComplexLike:
@@ -184,36 +143,34 @@ def unitarity_residual(pair: AmplitudePair) -> ComplexLike:
     return np.abs(np.abs(pair.t) ** 2 + np.abs(pair.r) ** 2 - 1.0)
 
 
+def _nonzero_strength(alpha: float) -> float:
+    if not abs(alpha) > 0.0:
+        raise ValueError("delta potentials need a nonzero strength")
+    return abs(alpha)
+
+
 @dataclass(frozen=True)
 class AmplitudeModel:
     """A potential plus the masses it scatters, exposing amplitudes(q).
 
-    ``scatterers`` is a tuple of (strength, position) pairs, populated for the
-    double-delta and composite kinds.
+    ``scatterers`` is the tuple of (|alpha|, x) pairs of the point
+    scatterers, sorted by position; it is empty for the hard core. Build
+    models with the classmethods, which check each kind's layout.
     """
 
     kind: PotentialKind
     masses: MassPartition
-    alpha: float = 0.0
-    half_separation: Optional[float] = None
-    scatterers: Optional[Tuple[Tuple[float, float], ...]] = None
+    scatterers: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind in (PotentialKind.DIRAC_DELTA, PotentialKind.DOUBLE_DIRAC_DELTA):
-            # only |alpha| matters for elastic scattering; normalize here
-            object.__setattr__(self, "alpha", abs(self.alpha))
-            if not self.alpha > 0.0:
-                raise ValueError("delta potentials need a nonzero strength")
-        if self.kind is PotentialKind.DOUBLE_DIRAC_DELTA:
-            if self.half_separation is None or not self.half_separation > 0.0:
-                raise ValueError("double delta needs a positive half separation")
-        if self.kind is PotentialKind.COMPOSITE:
-            if not self.scatterers:
-                raise ValueError("composite model needs at least one scatterer")
-            norm = tuple((abs(s), float(x)) for s, x in self.scatterers)
-            if any(s < 0.0 for s, _ in norm):  # pragma: no cover - abs() above
-                raise ValueError("scatterer strengths must be non-negative")
-            object.__setattr__(self, "scatterers", norm)
+        norm = tuple(
+            sorted(((abs(s), float(x)) for s, x in self.scatterers), key=lambda sx: sx[1])
+        )
+        if (self.kind is PotentialKind.HARD_CORE) == bool(norm):
+            raise ValueError(
+                "the hard core takes no scatterers; every other kind needs at least one"
+            )
+        object.__setattr__(self, "scatterers", norm)
 
     @classmethod
     def hard_core(cls, masses: MassPartition) -> "AmplitudeModel":
@@ -221,26 +178,37 @@ class AmplitudeModel:
 
     @classmethod
     def dirac_delta(cls, alpha: float, masses: MassPartition) -> "AmplitudeModel":
-        return cls(kind=PotentialKind.DIRAC_DELTA, masses=masses, alpha=alpha)
+        return cls(
+            kind=PotentialKind.DIRAC_DELTA,
+            masses=masses,
+            scatterers=((_nonzero_strength(alpha), 0.0),),
+        )
 
     @classmethod
     def double_dirac_delta(
         cls, alpha: float, half_separation: float, masses: MassPartition
     ) -> "AmplitudeModel":
+        s = _nonzero_strength(alpha)
+        if not half_separation > 0.0:
+            raise ValueError("double delta needs a positive half separation")
         return cls(
             kind=PotentialKind.DOUBLE_DIRAC_DELTA,
             masses=masses,
-            alpha=alpha,
-            half_separation=half_separation,
-            scatterers=((abs(alpha), -half_separation), (abs(alpha), half_separation)),
+            scatterers=((s, -half_separation), (s, half_separation)),
         )
 
     @classmethod
     def composite(
         cls, scatterers: Sequence[Tuple[float, float]], masses: MassPartition
     ) -> "AmplitudeModel":
-        ordered = tuple(sorted(((s, x) for s, x in scatterers), key=lambda sx: sx[1]))
-        return cls(kind=PotentialKind.COMPOSITE, masses=masses, scatterers=ordered)
+        return cls(kind=PotentialKind.COMPOSITE, masses=masses, scatterers=tuple(scatterers))
+
+    @property
+    def alpha(self) -> float:
+        """|alpha| of the delta, or of each delta of the double delta; 0 otherwise."""
+        if self.kind in (PotentialKind.DIRAC_DELTA, PotentialKind.DOUBLE_DIRAC_DELTA):
+            return self.scatterers[0][0]
+        return 0.0
 
     @property
     def strength_scale(self) -> float:
@@ -253,16 +221,8 @@ class AmplitudeModel:
             return hardcore_amplitudes(q)
         if self.kind is PotentialKind.DIRAC_DELTA:
             return delta_amplitudes(q, self.alpha, self.masses)
-        if self.kind is PotentialKind.DOUBLE_DIRAC_DELTA:
-            return double_delta_amplitudes(
-                q, self.alpha, self.half_separation, self.masses
-            )
-        arr = _as_positive_q(q)
-        tms = [
-            point_scatterer_tm(arr, s, x, self.masses) for s, x in self.scatterers
-        ]
-        t, r = tm_amplitudes(compose(tms))
-        return _pair_like(q, np.asarray(t), np.asarray(r))
+        t, r = _chain_amplitudes(_as_positive_q(q), self.scatterers, self.masses)
+        return _pair_like(q, t, r)
 
 
 def find_resonances(
@@ -283,7 +243,8 @@ def find_resonances(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
 
-    a = model.half_separation
+    (_, x_left), (_, x_right) = model.scatterers
+    a = 0.5 * (x_right - x_left)
     b = model.strength_scale
 
     def h(q: float) -> float:

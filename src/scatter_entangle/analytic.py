@@ -92,14 +92,7 @@ def approx_CR(t_k: complex, r_k: complex, reflected_purity: float) -> float:
     reflected branch with the closed-form purity of the reflected Gaussian.
     Reduces to :func:`approx_C` when that purity is 1 and never exceeds it.
     """
-    T = abs(t_k) ** 2
-    R = abs(r_k) ** 2
-    _check_probabilities(T, R)
-    if not 0.0 < reflected_purity <= 1.0 + 1e-12:
-        raise ValueError(
-            f"reflected purity must lie in (0, 1], got {reflected_purity}"
-        )
-    return T * T + R * R * reflected_purity
+    return ApproximationInput.from_amplitudes(t_k, r_k, reflected_purity).purity_CR()
 
 
 def _check_probabilities(T: float, R: float) -> None:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence, Tuple, Union
 
@@ -518,15 +518,7 @@ def cmd_purity(
         )
         approximations = None
     else:
-        report = purity_out(
-            state,
-            model,
-            rel_tol=eng.rel_tol,
-            base_n=eng.base_n,
-            n_cap=eng.n_cap,
-            nsig=eng.nsig,
-            overlap_n=eng.overlap_n,
-        )
+        report = purity_out(state, model, **asdict(eng))
         t_k, r_k = model.amplitudes(state.k)
         pbar = reflected_gaussian_purity(mp, state.sigma1, state.sigma2)
         approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
@@ -553,13 +545,7 @@ def cmd_purity(
             "potential": cfg["potential"],
             "schulman_satisfied": schulman_satisfied(mp, state.sigma1, state.sigma2),
         },
-        "engine": {
-            "rel_tol": eng.rel_tol,
-            "base_n": list(eng.base_n) if isinstance(eng.base_n, tuple) else eng.base_n,
-            "n_cap": list(eng.n_cap) if isinstance(eng.n_cap, tuple) else eng.n_cap,
-            "nsig": eng.nsig,
-            "overlap_n": eng.overlap_n,
-        },
+        "engine": asdict(eng),
         "approximations": approximations,
         "report": report.as_dict(),
     }
@@ -586,7 +572,6 @@ class SweepConfig:
     sigma2_over_k: float
     k_axis: np.ndarray
     k_abs: np.ndarray
-    unit: str
     engine: EngineOptions
 
 
@@ -668,15 +653,7 @@ def _sweep_point(sc: SweepConfig, i: int) -> SweepRow:
             )
         pbar = reflected_gaussian_purity(mp, state.sigma1, state.sigma2)
         approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
-        rep = purity_out(
-            state,
-            sc.model,
-            rel_tol=sc.engine.rel_tol,
-            base_n=sc.engine.base_n,
-            n_cap=sc.engine.n_cap,
-            nsig=sc.engine.nsig,
-            overlap_n=sc.engine.overlap_n,
-        )
+        rep = purity_out(state, sc.model, **asdict(sc.engine))
         return SweepRow(
             k=k_axis,
             mu1=mp.mu1,
@@ -721,7 +698,6 @@ def cmd_sweep(
         sigma2_over_k=cfg["state"]["sigma2_over_k"],
         k_axis=k_axis,
         k_abs=k_axis * scale,
-        unit=unit,
         engine=EngineOptions.from_config(cfg, rel_tol),
     )
 

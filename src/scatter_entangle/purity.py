@@ -50,7 +50,6 @@ __all__ = [
     "gram_purity",
     "purity_adaptive",
     "purity_out",
-    "purity_pq",
     "purity_pq_adaptive",
     "window_for_mode",
     "mode_grid",
@@ -195,8 +194,9 @@ class PurityReport:
     """Result of an adaptive purity computation.
 
     ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error`` is
-    the last successive relative difference. For out-state reports the
-    branch fields are populated and ``purity = purity_tra + purity_ref``.
+    the last successive relative difference, NaN when only one grid ran. For
+    out-state reports the branch fields are populated and
+    ``purity = purity_tra + purity_ref``.
     """
 
     purity: float
@@ -218,6 +218,7 @@ class PurityReport:
             raise ValueError(f"purity out of range (0, 1]: {self.purity}")
 
     def as_dict(self, spectrum_head: int = 128) -> dict:
+        err = self.refinement_error
         d = {
             "purity": self.purity,
             "purity_tra": self.purity_tra,
@@ -227,7 +228,8 @@ class PurityReport:
             "schmidt_rank_reported": int(min(len(self.schmidt_spectrum), spectrum_head)),
             "schmidt_rank_full": int(len(self.schmidt_spectrum)),
             "grid_n": list(self.grid_n),
-            "refinement_error": self.refinement_error,
+            # JSON (RFC 8259) has no NaN, which a one-grid ladder leaves here
+            "refinement_error": None if np.isnan(err) else err,
             "converged": self.converged,
             "norm_sq": self.norm_sq,
             "oob_weight": self.oob_weight,
@@ -433,20 +435,6 @@ def purity_out(
     )
 
 
-def purity_pq(
-    obj: Union[GaussianInState, ModeWavefunction], grid: GridSpec
-) -> Tuple[float, np.ndarray]:
-    """(purity, spectrum) of the (total, relative)-momentum split.
-
-    This quantity is untouched by scattering: the S operator is local in the
-    (p, q) tensor structure, so in- and out-states share it.
-    """
-    wam = discretize(
-        lambda P, Q: eval_in_jacobi(obj, JacobiMomentum(P, Q)), grid
-    )
-    return purity_from_matrix(wam)
-
-
 def purity_pq_adaptive(
     state: GaussianInState,
     model: Optional[AmplitudeModel] = None,
@@ -455,10 +443,12 @@ def purity_pq_adaptive(
     n_cap: NPair = 1024,
     nsig: float = 8.0,
 ) -> PurityReport:
-    """Adaptive version of :func:`purity_pq` with automatic windows.
+    """(total, relative)-momentum purity, refined adaptively on automatic windows.
 
-    With a model the out-state is evaluated on a q window symmetric about 0
-    (both lobes); without one, the in-state on its incident lobe.
+    Scattering leaves this quantity untouched: the S operator is local in the
+    (p, q) tensor structure, so in- and out-states share it. With a model the
+    out-state is evaluated on a q window symmetric about 0 (both lobes);
+    without one, the in-state on its incident lobe.
     """
     obj: Union[GaussianInState, ModeWavefunction]
     if model is None:

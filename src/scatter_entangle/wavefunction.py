@@ -39,7 +39,6 @@ __all__ = [
     "GaussianInState",
     "Mode",
     "ModeWavefunction",
-    "EvalTally",
     "eval_in",
     "eval_reflected_in",
     "eval_mode",
@@ -114,22 +113,6 @@ _NEEDS_MODEL = (Mode.TRANSMITTED, Mode.REFLECTED, Mode.OUT)
 _REVERSED_INCIDENT = (Mode.REFLECTED, Mode.REFLECTED_IN)
 
 
-@dataclass
-class EvalTally:
-    """Counts evaluations whose incident relative momentum fell at q <= 0."""
-
-    n_total: int = 0
-    n_out_of_convention: int = 0
-
-    def add(self, total: int, out_of_convention: int) -> None:
-        self.n_total += int(total)
-        self.n_out_of_convention += int(out_of_convention)
-
-    @property
-    def fraction(self) -> float:
-        return self.n_out_of_convention / self.n_total if self.n_total else 0.0
-
-
 def eval_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
     """phi_in at the given momenta; supports broadcasting of p1 against p2."""
     p1, p2 = pm
@@ -170,10 +153,8 @@ class ModeWavefunction:
     def masses(self) -> MassPartition:
         return self.in_state.masses
 
-    def __call__(
-        self, p1: ArrayLike, p2: ArrayLike, tally: Optional[EvalTally] = None
-    ) -> np.ndarray:
-        return eval_mode(self, PairMomentum(p1, p2), tally=tally)
+    def __call__(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
+        return eval_mode(self, PairMomentum(p1, p2))
 
     def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
         """True where this mode's incident relative momentum is <= 0."""
@@ -182,15 +163,9 @@ class ModeWavefunction:
         return incident <= 0.0
 
 
-def eval_mode(
-    mw: ModeWavefunction, pm: PairMomentum, tally: Optional[EvalTally] = None
-) -> np.ndarray:
+def eval_mode(mw: ModeWavefunction, pm: PairMomentum) -> np.ndarray:
     """Evaluate one mode at pair momenta, broadcasting fields as needed."""
     state = mw.in_state
-    if tally is not None:
-        mask = mw.incident_oob_mask(pm.p1, pm.p2)
-        tally.add(np.size(mask), np.count_nonzero(mask))
-
     if mw.mode is Mode.IN:
         return eval_in(state, pm)
     if mw.mode is Mode.REFLECTED_IN:

@@ -7,13 +7,10 @@ from scipy.optimize import brentq
 from scatter_entangle.amplitudes import (
     AmplitudeModel,
     AmplitudePair,
-    compose,
     delta_amplitudes,
     double_delta_amplitudes,
     find_resonances,
     hardcore_amplitudes,
-    point_scatterer_tm,
-    tm_amplitudes,
     unitarity_residual,
 )
 from scatter_entangle.kinematics import MassPartition
@@ -80,20 +77,16 @@ def test_masses_enter_through_reduced_mass_only():
 
 def test_point_scatterer_at_origin_matches_delta():
     q = np.linspace(0.02, 5.0, 200)
-    tm = point_scatterer_tm(q, 0.9, 0.0, MP)
-    t_tm, r_tm = tm_amplitudes(tm)
+    t_chain, r_chain = AmplitudeModel.composite([(0.9, 0.0)], MP).amplitudes(q)
     t_d, r_d = delta_amplitudes(q, 0.9, MP)
-    np.testing.assert_allclose(t_tm, t_d, atol=1e-14)
-    np.testing.assert_allclose(r_tm, r_d, atol=1e-14)
+    np.testing.assert_allclose(t_chain, t_d, atol=1e-14)
+    np.testing.assert_allclose(r_chain, r_d, atol=1e-14)
 
 
 def test_zero_strength_gives_identity_matrix():
-    tm = point_scatterer_tm(1.1, 0.0, 2.0, MP)
-    assert tm.m11 == 1.0 and tm.m22 == 1.0
-    assert tm.m12 == 0.0 and tm.m21 == 0.0
-    t, r = tm_amplitudes(tm)
-    assert t == pytest.approx(1.0)
-    assert r == pytest.approx(0.0, abs=1e-15)
+    t, r = AmplitudeModel.composite([(0.0, 2.0)], MP).amplitudes(1.1)
+    assert t == 1.0
+    assert r == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,45 +95,15 @@ def test_zero_strength_gives_identity_matrix():
     alpha=st.floats(1e-3, 50.0),
     position=st.floats(-20.0, 20.0),
 )
-def test_transfer_matrix_is_unimodular(q, alpha, position):
-    tm = point_scatterer_tm(q, alpha, position, MP)
-    det = tm.m11 * tm.m22 - tm.m12 * tm.m21
-    assert abs(det - 1.0) < 1e-12 * max(1.0, alpha / q)
-
-
-def test_compose_validates_input():
-    a = point_scatterer_tm(np.array([1.0, 2.0]), 1.0, 0.0, MP)
-    b = point_scatterer_tm(np.array([1.0, 2.5]), 1.0, 1.0, MP)
-    with pytest.raises(ValueError):
-        compose([a, b])
-    with pytest.raises(ValueError):
-        compose([])
-
-
-def test_compose_single_matrix_is_identity_operation():
-    a = point_scatterer_tm(np.array([0.3, 0.7]), 2.0, -1.0, MP)
-    c = compose([a])
-    np.testing.assert_array_equal(c.m11, a.m11)
-    np.testing.assert_array_equal(c.m21, a.m21)
-
-
-def test_compose_is_associative():
-    q = np.linspace(0.1, 2.0, 17)
-    mats = [
-        point_scatterer_tm(q, s, x, MP)
-        for s, x in ((0.5, -1.0), (1.5, 0.3), (0.8, 2.2))
-    ]
-    left = compose([compose(mats[:2]), mats[2]])
-    right = compose([mats[0], compose(mats[1:])])
-    np.testing.assert_allclose(left.m11, right.m11, rtol=1e-13)
-    np.testing.assert_allclose(left.m22, right.m22, rtol=1e-13)
+def test_single_scatterer_is_unitary(q, alpha, position):
+    pair = AmplitudeModel.composite([(alpha, position)], MP).amplitudes(q)
+    assert unitarity_residual(pair) < 1e-12
 
 
 def test_two_half_scatterers_at_same_point_merge():
     q = np.linspace(0.05, 4.0, 100)
-    half = [point_scatterer_tm(q, 0.65, 0.0, MP) for _ in range(2)]
-    t_two, r_two = tm_amplitudes(compose(half))
-    t_one, r_one = tm_amplitudes(point_scatterer_tm(q, 1.3, 0.0, MP))
+    t_two, r_two = AmplitudeModel.composite([(0.65, 0.0)] * 2, MP).amplitudes(q)
+    t_one, r_one = AmplitudeModel.composite([(1.3, 0.0)], MP).amplitudes(q)
     np.testing.assert_allclose(t_two, t_one, atol=1e-12)
     np.testing.assert_allclose(r_two, r_one, atol=1e-12)
 
@@ -197,6 +160,8 @@ def test_model_normalizes_attractive_strength():
         AmplitudeModel.dirac_delta(0.0, MP)
     with pytest.raises(ValueError):
         AmplitudeModel.double_dirac_delta(1.0, 0.0, MP)
+    with pytest.raises(ValueError):
+        AmplitudeModel.composite([], MP)
 
 
 def test_composite_model_orders_scatterers_and_is_unitary():

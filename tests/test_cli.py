@@ -111,8 +111,13 @@ def test_purity_strict_flags_unconverged(tmp_path):
     args = ["purity", "--config", str(cfg), "--out", str(out)]
     assert run(args) == 0
     assert run(args + ["--strict"]) == 3
-    payload = json.loads(out.read_text())
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
     assert payload["report"]["converged"] is False
+    assert payload["report"]["refinement_error"] is None
 
 
 SWEEP_CFG = {

@@ -12,7 +12,6 @@ from scatter_entangle.kinematics import (
 )
 from scatter_entangle.purity import discretize, mode_grid
 from scatter_entangle.wavefunction import (
-    EvalTally,
     GaussianInState,
     IncomingnessWarning,
     Mode,
@@ -155,19 +154,15 @@ def test_tally_counts_out_of_convention_points():
     # q = (p1 - p2)/2 at equal masses; incident for REFLECTED is -q
     p1 = np.array([1.0, -1.0, 0.5])
     p2 = np.array([-1.0, 1.0, 0.5])
-    tally = EvalTally()
-    ref(p1, p2, tally)
-    assert tally.n_total == 3
-    assert tally.n_out_of_convention == 2  # q > 0 and q == 0 both flag
-    assert tally.fraction == pytest.approx(2 / 3)
+    assert np.all(np.isfinite(ref(p1, p2)))
+    mask = ref.incident_oob_mask(p1, p2)
+    assert mask.size == 3
+    assert np.count_nonzero(mask) == 2  # q > 0 and q == 0 both flag
+    assert ref.incident_oob_mask(np.array([]), np.array([])).size == 0
 
-    tally_in = EvalTally()
-    ModeWavefunction(Mode.IN, st)(p1, p2, tally_in)
-    assert tally_in.n_out_of_convention == 2  # q < 0 and q == 0
-
-
-def test_empty_tally_fraction_is_zero():
-    assert EvalTally().fraction == 0.0
+    mask_in = ModeWavefunction(Mode.IN, st).incident_oob_mask(p1, p2)
+    assert np.count_nonzero(mask_in) == 2  # q < 0 and q == 0
+    np.testing.assert_array_equal(mask_in, [False, True, True])
 
 
 def test_jacobi_evaluation_matches_pair_form():
