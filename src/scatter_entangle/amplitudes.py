@@ -154,8 +154,9 @@ class AmplitudeModel:
     """A potential plus the masses it scatters, exposing amplitudes(q).
 
     ``scatterers`` is the tuple of (|alpha|, x) pairs of the point
-    scatterers, sorted by position; it is empty for the hard core. Build
-    models with the classmethods, which check each kind's layout.
+    scatterers, sorted by position; it is empty for the hard core, one at
+    x = 0 for the delta and two equal strengths at -a and +a (a > 0) for
+    the double delta. The classmethods also check the strengths.
     """
 
     kind: PotentialKind
@@ -170,6 +171,13 @@ class AmplitudeModel:
             raise ValueError(
                 "the hard core takes no scatterers; every other kind needs at least one"
             )
+        # the delta's closed form and find_resonances assume these layouts
+        if self.kind is PotentialKind.DIRAC_DELTA and [x for _, x in norm] != [0.0]:
+            raise ValueError(f"a single delta is one scatterer at x = 0, got {norm}")
+        if self.kind is PotentialKind.DOUBLE_DIRAC_DELTA and not (
+            len(norm) == 2 and norm[0][0] == norm[1][0] and -norm[0][1] == norm[1][1] > 0.0
+        ):
+            raise ValueError(f"a double delta is two equal strengths at -a and +a, got {norm}")
         object.__setattr__(self, "scatterers", norm)
 
     @classmethod
@@ -243,8 +251,7 @@ def find_resonances(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
 
-    (_, x_left), (_, x_right) = model.scatterers
-    a = 0.5 * (x_right - x_left)
+    a = model.scatterers[1][1]  # the layout is (-a, +a), checked by the model
     b = model.strength_scale
 
     def h(q: float) -> float:

@@ -127,4 +127,6 @@ class ApproximationInput:
         return approx_C(self.T, self.R)
 
     def purity_CR(self) -> float:
-        return self.T**2 + self.R**2 * self.reflected_purity
+        # squares as in approx_C: libm pow(x, 2) can differ from x * x in the
+        # last bit, which would let CR exceed C at reflected_purity = 1
+        return self.T * self.T + self.R * self.R * self.reflected_purity

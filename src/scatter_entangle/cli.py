@@ -5,6 +5,10 @@ Outputs are byte-deterministic for a fixed config: CSV floats are printed
 with %.17g (17 significant digits pin a double exactly), rows keep input
 order regardless of --workers, and newlines are always "\\n".
 
+The layer is thin: configs become library objects, and the engine validates
+its own settings (purity.check_ladder), which the CLI runs once before any
+work so that a bad engine config exits 2 instead of failing row by row.
+
 Exit codes: 0 success; 1 failed self checks or an internal consistency
 abort; 2 config errors; 3 unconverged quadrature under --strict.
 """
@@ -12,13 +16,14 @@ abort; 2 config errors; 3 unconverged quadrature under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import IO, Optional, Sequence, Tuple, Union
+from typing import IO, Optional, Sequence, Tuple
 
 import numpy as np
 import jsonschema
@@ -33,11 +38,11 @@ from .analytic import (
     schulman_satisfied,
 )
 from .kinematics import MassPartition
-from .purity import mode_grid, purity_adaptive, purity_out
+from .purity import check_ladder, mode_grid, purity_adaptive, purity_out
 from .validate import run_all
 from .wavefunction import GaussianInState, Mode, ModeWavefunction
 
-__all__ = ["main", "run", "SweepConfig", "SweepRow", "ConfigError"]
+__all__ = ["main", "run", "ConfigError"]
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,7 +56,7 @@ class ConfigError(Exception):
     """Configuration rejected; message carries the offending path."""
 
 
-class SweepAbort(Exception):
+class ConsistencyAbort(Exception):
     """Internal consistency violation; the whole run must stop."""
 
 
@@ -358,46 +363,23 @@ def _state_from(
         raise ConfigError(f"$.state: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class EngineOptions:
-    rel_tol: float = 1e-6
-    base_n: Union[int, Tuple[int, int]] = 64
-    n_cap: Union[int, Tuple[int, int]] = 1024
-    nsig: float = 8.0
-    overlap_n: int = 256
+_ENGINE_DEFAULTS = {
+    "rel_tol": 1e-6, "base_n": 64, "n_cap": 1024, "nsig": 8.0, "overlap_n": 256,
+}
 
-    @classmethod
-    def from_config(
-        cls, cfg: dict, rel_tol_override: Optional[float] = None
-    ) -> "EngineOptions":
-        eng = cfg.get("engine", {})
 
-        def pair(v):
-            return tuple(v) if isinstance(v, list) else v
-
-        rel_tol = eng.get("rel_tol", 1e-6)
-        if rel_tol_override is not None:
-            if not 1e-10 <= rel_tol_override <= 0.1:
-                raise ConfigError(f"--rel-tol out of range [1e-10, 0.1]: {rel_tol_override}")
-            rel_tol = rel_tol_override
-        opts = cls(
-            rel_tol=rel_tol,
-            base_n=pair(eng.get("base_n", 64)),
-            n_cap=pair(eng.get("n_cap", 1024)),
-            nsig=eng.get("nsig", 8.0),
-            overlap_n=eng.get("overlap_n", 256),
-        )
-        for label, value in (("base_n", opts.base_n), ("n_cap", opts.n_cap)):
-            for n in value if isinstance(value, tuple) else (value,):
-                if n < 32 or (n & (n - 1)) != 0:
-                    raise ConfigError(
-                        f"$.engine.{label}: must be a power of two >= 32, got {n}"
-                    )
-        base = opts.base_n if isinstance(opts.base_n, tuple) else (opts.base_n,) * 2
-        cap = opts.n_cap if isinstance(opts.n_cap, tuple) else (opts.n_cap,) * 2
-        if cap[0] < base[0] or cap[1] < base[1]:
-            raise ConfigError(f"$.engine: n_cap {cap} below base_n {base}")
-        return opts
+def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
+    """Keyword arguments of purity_out: defaults, then $.engine, then --rel-tol."""
+    eng = {**_ENGINE_DEFAULTS, **cfg.get("engine", {})}
+    if rel_tol_override is not None:
+        if not 1e-10 <= rel_tol_override <= 0.1:
+            raise ConfigError(f"--rel-tol out of range [1e-10, 0.1]: {rel_tol_override}")
+        eng["rel_tol"] = rel_tol_override
+    try:
+        check_ladder(eng["rel_tol"], eng["base_n"], eng["n_cap"])
+    except ValueError as exc:
+        raise ConfigError(f"$.engine: {exc}") from exc
+    return eng
 
 
 def _axis_values(axis_cfg: dict) -> np.ndarray:
@@ -438,22 +420,11 @@ def _write_csv(
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-class _Output:
-    """Stdout or a file opened with '\\n' newlines."""
-
-    def __init__(self, path: Optional[Path]):
-        self._path = path
-        self._stream: Optional[IO[str]] = None
-
-    def __enter__(self) -> IO[str]:
-        if self._path is None:
-            return sys.stdout
-        self._stream = open(self._path, "w", newline="\n")
-        return self._stream
-
-    def __exit__(self, *exc) -> None:
-        if self._stream is not None:
-            self._stream.close()
+def _open_out(path: Optional[Path]):
+    """Stdout, or a file written with '\\n' newlines."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="\n")
 
 
 # --------------------------------------------------------------------------
@@ -482,22 +453,31 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
         ("R", "|r|^2 reflection probability"),
         ("unitarity_residual", "| |t|^2 + |r|^2 - 1 |"),
     ]
-    rows = (
-        (
-            float(q_axis[i]),
-            float(t[i].real),
-            float(t[i].imag),
-            float(r[i].real),
-            float(r[i].imag),
-            float(T[i]),
-            float(R[i]),
-            float(resid[i]),
-        )
-        for i in range(len(q_axis))
-    )
-    with _Output(out) as stream:
+    rows = zip(q_axis, t.real, t.imag, r.real, r.imag, T, R, resid)
+    with _open_out(out) as stream:
         _write_csv(stream, "amplitudes", sha, columns, rows)
     return EXIT_OK
+
+
+def _approximations(model: AmplitudeModel, state: GaussianInState) -> dict:
+    """Constant-amplitude estimates at k. Aborts the run if |t|^2 + |r|^2 != 1:
+    every amplitude the engine uses comes from the same model."""
+    t_k, r_k = model.amplitudes(state.k)
+    T = abs(t_k) ** 2
+    R = abs(r_k) ** 2
+    if abs(T + R - 1.0) > _PROB_ABORT_TOL:
+        raise ConsistencyAbort(
+            f"unitarity violated at k = {state.k!r}: T + R - 1 = {T + R - 1.0:.3e}"
+        )
+    pbar = reflected_gaussian_purity(state.masses, state.sigma1, state.sigma2)
+    approx = ApproximationInput(T, R, pbar)
+    return {
+        "T": T,
+        "R": R,
+        "reflected_purity": pbar,
+        "purity_C": approx.purity_C(),
+        "purity_CR": approx.purity_CR(),
+    }
 
 
 def cmd_purity(
@@ -507,28 +487,19 @@ def cmd_purity(
     mp = _masses_from(cfg)
     model = _potential_from(cfg, mp)
     state = _state_from(cfg["state"], mp, model)
-    eng = EngineOptions.from_config(cfg, rel_tol)
+    eng = _engine_from(cfg, rel_tol)
 
     if model is None:
         report = purity_adaptive(
             ModeWavefunction(Mode.IN, state),
-            mode_grid(state, Mode.IN, eng.base_n, eng.nsig),
-            rel_tol=eng.rel_tol,
-            n_cap=eng.n_cap,
+            mode_grid(state, Mode.IN, eng["base_n"], eng["nsig"]),
+            rel_tol=eng["rel_tol"],
+            n_cap=eng["n_cap"],
         )
         approximations = None
     else:
-        report = purity_out(state, model, **asdict(eng))
-        t_k, r_k = model.amplitudes(state.k)
-        pbar = reflected_gaussian_purity(mp, state.sigma1, state.sigma2)
-        approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
-        approximations = {
-            "T": approx.T,
-            "R": approx.R,
-            "reflected_purity": pbar,
-            "purity_C": approx.purity_C(),
-            "purity_CR": approx.purity_CR(),
-        }
+        approximations = _approximations(model, state)
+        report = purity_out(state, model, **eng)
 
     payload = {
         "version": __version__,
@@ -545,11 +516,11 @@ def cmd_purity(
             "potential": cfg["potential"],
             "schulman_satisfied": schulman_satisfied(mp, state.sigma1, state.sigma2),
         },
-        "engine": asdict(eng),
+        "engine": eng,
         "approximations": approximations,
         "report": report.as_dict(),
     }
-    with _Output(out) as stream:
+    with _open_out(out) as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
     if strict and not report.converged:
@@ -560,57 +531,6 @@ def cmd_purity(
         )
         return EXIT_UNCONVERGED
     return EXIT_OK
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parsed sweep request: one potential, one width rule, many k."""
-
-    masses: MassPartition
-    model: AmplitudeModel
-    sigma1_over_k: float
-    sigma2_over_k: float
-    k_axis: np.ndarray
-    k_abs: np.ndarray
-    engine: EngineOptions
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    k: float
-    mu1: float
-    sigma1: float
-    sigma2: float
-    T: float
-    R: float
-    purity_C: float
-    purity_CR: float
-    purity_exact: float
-    purity_tra: float
-    purity_ref: float
-    overlap: float
-    grid_N: int
-    est_error: float
-    converged: bool
-    error: Optional[str] = None
-
-    @classmethod
-    def failed(cls, k: float, mu1: float, message: str) -> "SweepRow":
-        nan = float("nan")
-        return cls(
-            k=k, mu1=mu1, sigma1=nan, sigma2=nan, T=nan, R=nan,
-            purity_C=nan, purity_CR=nan, purity_exact=nan, purity_tra=nan,
-            purity_ref=nan, overlap=nan, grid_N=0, est_error=nan,
-            converged=False, error=message,
-        )
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.k, self.mu1, self.sigma1, self.sigma2, self.T, self.R,
-            self.purity_C, self.purity_CR, self.purity_exact, self.purity_tra,
-            self.purity_ref, self.overlap, self.grid_N, self.est_error,
-            self.converged, self.error,
-        )
 
 
 SWEEP_COLUMNS = [
@@ -633,48 +553,41 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(sc: SweepConfig, i: int) -> SweepRow:
-    k_axis = float(sc.k_axis[i])
-    k = float(sc.k_abs[i])
-    mp = sc.masses
+def _sweep_point(
+    model: AmplitudeModel, widths: dict, eng: dict, k_axis: float, k: float
+) -> dict:
+    """One sweep row, keyed by SWEEP_COLUMNS names; a failure fills only
+    k, mu1 and error and leaves the numbers NaN."""
+    mp = model.masses
+    row = dict.fromkeys((name for name, _ in SWEEP_COLUMNS), float("nan"))
+    row.update(k=k_axis, mu1=mp.mu1, grid_N=0, converged=False, error=None)
     try:
         state = GaussianInState(
             k=k,
-            sigma1=sc.sigma1_over_k * k,
-            sigma2=sc.sigma2_over_k * k,
+            sigma1=widths["sigma1_over_k"] * k,
+            sigma2=widths["sigma2_over_k"] * k,
             masses=mp,
         )
-        t_k, r_k = sc.model.amplitudes(k)
-        T = abs(t_k) ** 2
-        R = abs(r_k) ** 2
-        if abs(T + R - 1.0) > _PROB_ABORT_TOL:
-            raise SweepAbort(
-                f"unitarity violated at k = {k!r}: T + R - 1 = {T + R - 1.0:.3e}"
-            )
-        pbar = reflected_gaussian_purity(mp, state.sigma1, state.sigma2)
-        approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
-        rep = purity_out(state, sc.model, **asdict(sc.engine))
-        return SweepRow(
-            k=k_axis,
-            mu1=mp.mu1,
-            sigma1=state.sigma1,
-            sigma2=state.sigma2,
-            T=T,
-            R=R,
-            purity_C=approx.purity_C(),
-            purity_CR=approx.purity_CR(),
-            purity_exact=rep.purity,
-            purity_tra=rep.purity_tra,
-            purity_ref=rep.purity_ref,
-            overlap=rep.overlap,
-            grid_N=max(rep.grid_n),
-            est_error=rep.refinement_error,
-            converged=rep.converged,
-        )
-    except SweepAbort:
+        approx = _approximations(model, state)
+        rep = purity_out(state, model, **eng)
+    except ConsistencyAbort:
         raise
     except Exception as exc:  # recorded in the row; the sweep continues
-        return SweepRow.failed(k_axis, mp.mu1, f"{type(exc).__name__}: {exc}")
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    row.update((name, v) for name, v in approx.items() if name in row)
+    row.update(
+        sigma1=state.sigma1,
+        sigma2=state.sigma2,
+        purity_exact=rep.purity,
+        purity_tra=rep.purity_tra,
+        purity_ref=rep.purity_ref,
+        overlap=rep.overlap,
+        grid_N=max(rep.grid_n),
+        est_error=rep.refinement_error,
+        converged=rep.converged,
+    )
+    return row
 
 
 def cmd_sweep(
@@ -691,31 +604,19 @@ def cmd_sweep(
     unit = cfg["k_axis"].get("unit", "absolute")
     scale = _momentum_scale(unit, model)
     k_axis = _axis_values(cfg["k_axis"])
-    sc = SweepConfig(
-        masses=mp,
-        model=model,
-        sigma1_over_k=cfg["state"]["sigma1_over_k"],
-        sigma2_over_k=cfg["state"]["sigma2_over_k"],
-        k_axis=k_axis,
-        k_abs=k_axis * scale,
-        engine=EngineOptions.from_config(cfg, rel_tol),
-    )
+    point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg, rel_tol))
+    ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(point, ks, ks_abs))
+    else:
+        rows = list(map(point, ks, ks_abs))
 
-    indices = range(len(k_axis))
-    try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda i: _sweep_point(sc, i), indices))
-        else:
-            rows = [_sweep_point(sc, i) for i in indices]
-    except SweepAbort as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    names = [name for name, _ in SWEEP_COLUMNS]
+    with _open_out(out) as stream:
+        _write_csv(stream, "sweep", sha, SWEEP_COLUMNS, ([r[n] for n in names] for r in rows))
 
-    with _Output(out) as stream:
-        _write_csv(stream, "sweep", sha, SWEEP_COLUMNS, (r.as_tuple() for r in rows))
-
-    bad = [r for r in rows if not r.converged or r.error]
+    bad = [r for r in rows if not r["converged"] or r["error"]]
     if strict and bad:
         print(
             f"strict: {len(bad)} of {len(rows)} sweep points unconverged or failed",
@@ -739,7 +640,7 @@ def cmd_reflectmap(cfg: dict, sha: str, out: Optional[Path]) -> int:
         for mu1 in mu1s
         for c in cs
     )
-    with _Output(out) as stream:
+    with _open_out(out) as stream:
         _write_csv(stream, "reflectmap", sha, columns, rows)
     return EXIT_OK
 
@@ -806,6 +707,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ConsistencyAbort as exc:
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "PurityReport",
     "ZeroWavefunctionError",
     "axis_nodes",
+    "check_ladder",
     "discretize",
     "purity_from_matrix",
     "gram_purity",
@@ -57,7 +58,7 @@ __all__ = [
     "jacobi_grid",
 ]
 
-NPair = Union[int, Tuple[int, int]]
+NPair = Union[int, Sequence[int]]
 
 
 class ZeroWavefunctionError(ValueError):
@@ -243,9 +244,25 @@ class PurityReport:
 
 
 def _as_pair(n: NPair) -> Tuple[int, int]:
-    if isinstance(n, tuple):
+    if isinstance(n, (tuple, list)):  # a list is how JSON configs spell a pair
         return int(n[0]), int(n[1])
     return int(n), int(n)
+
+
+def check_ladder(rel_tol: float, base_n: NPair, n_cap: NPair) -> None:
+    """Reject refinement-ladder settings the engine cannot run.
+
+    rel_tol below 1e-10 is unreachable (SVD roundoff floor). Per axis, the
+    starting node count and its cap must be powers of two >= 32, and the cap
+    must not lie below the start. Messages name the setting and the axis.
+    """
+    if rel_tol < 1e-10:
+        raise ValueError(f"rel_tol below 1e-10 is unreachable, got {rel_tol}")
+    for axis, n0, cap in zip(("n1", "n2"), _as_pair(base_n), _as_pair(n_cap)):
+        _check_n(n0, f"base_n for {axis}")
+        _check_n(cap, f"n_cap for {axis}")
+        if cap < n0:
+            raise ValueError(f"n_cap for {axis} = {cap} below base_n = {n0}")
 
 
 def purity_adaptive(
@@ -256,17 +273,12 @@ def purity_adaptive(
 ) -> PurityReport:
     """Refine the grid by doubling until purity changes by less than rel_tol.
 
-    Relative tolerance on successive differences; rel_tol below 1e-10 is
-    rejected (SVD roundoff floor). If the per-axis node caps are hit first,
-    the last result is returned with ``converged = False``.
+    Relative tolerance on successive differences; the settings are checked
+    by :func:`check_ladder`. If the per-axis node caps are hit first, the
+    last result is returned with ``converged = False``.
     """
-    if rel_tol < 1e-10:
-        raise ValueError(f"rel_tol below 1e-10 is unreachable, got {rel_tol}")
+    check_ladder(rel_tol, (grid.n1, grid.n2), n_cap)
     cap1, cap2 = _as_pair(n_cap)
-    for cap, n0, label in ((cap1, grid.n1, "n1"), (cap2, grid.n2, "n2")):
-        _check_n(cap, f"n_cap for {label}")
-        if cap < n0:
-            raise ValueError(f"cap {cap} below starting {label} = {n0}")
 
     trace = []
     prev: Optional[float] = None

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from scatter_entangle.amplitudes import (
     AmplitudeModel,
     AmplitudePair,
+    PotentialKind,
     delta_amplitudes,
     double_delta_amplitudes,
     find_resonances,
@@ -162,6 +163,29 @@ def test_model_normalizes_attractive_strength():
         AmplitudeModel.double_dirac_delta(1.0, 0.0, MP)
     with pytest.raises(ValueError):
         AmplitudeModel.composite([], MP)
+
+
+@pytest.mark.parametrize(
+    "kind, scatterers",
+    [
+        (PotentialKind.DIRAC_DELTA, ((1.0, 2.0),)),  # off the origin
+        (PotentialKind.DIRAC_DELTA, ((1.0, 0.0), (1.0, 1.0))),
+        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, -0.5), (2.0, 0.5))),  # unequal
+        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, -0.5), (1.0, 0.7))),  # off-center
+        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, 0.0), (1.0, 0.0))),  # a = 0
+        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, 0.0),)),
+    ],
+)
+def test_direct_construction_rejects_layouts_the_kind_cannot_evaluate(kind, scatterers):
+    with pytest.raises(ValueError):
+        AmplitudeModel(kind, MP, scatterers)
+
+
+def test_direct_construction_accepts_each_kinds_layout():
+    delta = AmplitudeModel(PotentialKind.DIRAC_DELTA, MP, ((-2.0, 0.0),))
+    assert delta == AmplitudeModel.dirac_delta(2.0, MP)
+    double = AmplitudeModel(PotentialKind.DOUBLE_DIRAC_DELTA, MP, ((1.3, 0.9), (-1.3, -0.9)))
+    assert double == AmplitudeModel.double_dirac_delta(1.3, 0.9, MP)
 
 
 def test_composite_model_orders_scatterers_and_is_unitary():

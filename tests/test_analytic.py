@@ -124,6 +124,16 @@ def test_approx_CR_never_exceeds_C():
         assert approx_CR(t, r, pbar) <= approx_C(T, R) + 1e-15
 
 
+def test_approx_CR_never_exceeds_C_bitwise():
+    # 1e5 draws: pow(x, 2) and x * x differ in the last bit on dozens of them
+    rng = np.random.default_rng(11)
+    for T, p in rng.uniform(0.0, 1.0, (100_000, 2)).tolist():
+        at_one = ApproximationInput(T, 1.0 - T, 1.0)
+        assert at_one.purity_CR() == at_one.purity_C()
+        below = ApproximationInput(T, 1.0 - T, 1.0 - p)  # reflected purity in (0, 1]
+        assert below.purity_CR() <= below.purity_C()
+
+
 def test_approx_CR_equals_C_only_at_unit_reflected_purity():
     t, r = math.sqrt(0.3), 1j * math.sqrt(0.7)
     assert approx_CR(t, r, 1.0) == pytest.approx(approx_C(0.3, 0.7), rel=1e-12)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.cli import run
 
 
@@ -120,6 +121,16 @@ def test_purity_strict_flags_unconverged(tmp_path):
     assert payload["report"]["refinement_error"] is None
 
 
+def test_purity_pair_engine_settings(tmp_path):
+    cfg_dict = dict(DELTA_PURITY_CFG, engine={"base_n": [64, 32], "n_cap": [256, 128]})
+    cfg = write_config(tmp_path, "pair.json", cfg_dict)
+    out = tmp_path / "pair.out"
+    assert run(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["engine"]["base_n"] == [64, 32]
+    assert payload["report"]["tra"]["refinements"][0][:2] == [64, 32]
+
+
 SWEEP_CFG = {
     "masses": {"mu1": 0.2},
     "potential": {"kind": "delta", "alpha": 6.25},
@@ -197,14 +208,63 @@ def test_validate_passes(capsys):
         lambda d: d.update(engine={"base_n": 64, "n_cap": 32}),
         lambda d: d["potential"].update(kind="unknown"),
         lambda d: d.update(masses={"mu1": 1.5}),
+        lambda d: d.update(engine={"n_cap": [1024, 96]}),
+        lambda d: d.update(engine={"base_n": [64, 128], "n_cap": [1024, 64]}),
     ],
 )
 def test_bad_purity_configs_exit_2(tmp_path, capsys, mangle):
-    cfg_dict = json.loads(json.dumps(DELTA_PURITY_CFG))
-    mangle(cfg_dict)
-    cfg = write_config(tmp_path, "bad.json", cfg_dict)
-    assert run(["purity", "--config", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
+    # the sweep records per-point failures as rows and exits 0, so a bad
+    # engine setting must be caught before any point runs
+    for command, base in (("purity", DELTA_PURITY_CFG), ("sweep", SWEEP_CFG)):
+        cfg_dict = json.loads(json.dumps(base))
+        mangle(cfg_dict)
+        cfg = write_config(tmp_path, "bad.json", cfg_dict)
+        assert run([command, "--config", str(cfg)]) == 2, command
+        assert "config error" in capsys.readouterr().err
+
+
+AMPLITUDES_CFG = {
+    "masses": {"mu1": 0.2},
+    "potential": {"kind": "double_delta", "alpha": 2.5, "half_separation": 0.4},
+    "q_grid": {"start": 0.5, "stop": 1.5, "num": 5},
+}
+REFLECTMAP_CFG = {
+    "mu1_axis": {"start": 0.1, "stop": 0.9, "num": 3},
+    "c_axis": {"values": [0.5, 2.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg_dict",
+    [
+        ("amplitudes", AMPLITUDES_CFG),
+        ("purity", dict(DELTA_PURITY_CFG, engine={"rel_tol": 1e-4, "n_cap": 128})),
+        ("sweep", SWEEP_CFG),
+        ("reflectmap", REFLECTMAP_CFG),
+    ],
+)
+def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsys, command, cfg_dict):
+    cfg = write_config(tmp_path, "cfg.json", cfg_dict)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["purity"], ["sweep"], ["sweep", "--workers", "2"]])
+def test_unitarity_violation_aborts_the_run(tmp_path, capsys, monkeypatch, argv):
+    def leaky(self, q):
+        return AmplitudePair(0.8 + 0j, 0.8 + 0j)
+
+    monkeypatch.setattr(AmplitudeModel, "amplitudes", leaky)
+    cfg = write_config(tmp_path, "cfg.json", SWEEP_CFG if argv[0] == "sweep" else DELTA_PURITY_CFG)
+    assert run(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]} aborted: unitarity violated at k = ")
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):

@@ -14,6 +14,7 @@ from scatter_entangle.purity import (
     AxisWindow,
     GridSpec,
     ZeroWavefunctionError,
+    check_ladder,
     discretize,
     gram_purity,
     joint_grid,
@@ -124,6 +125,12 @@ def test_grid_validation():
         purity_adaptive(st, mode_grid(st, Mode.IN, 64), rel_tol=1e-11)
     with pytest.raises(ValueError):
         purity_adaptive(st, mode_grid(st, Mode.IN, 64), n_cap=32)
+    # pairs come as tuples from Python and as lists from JSON configs
+    check_ladder(1e-6, [64, 32], (256, 128))
+    with pytest.raises(ValueError, match="n_cap for n2 must be a power of two"):
+        check_ladder(1e-6, 64, [1024, 96])
+    with pytest.raises(ValueError, match="n_cap for n2 = 64 below base_n = 128"):
+        check_ladder(1e-6, [64, 128], (1024, 64))
 
 
 def test_schmidt_spectrum_is_a_distribution():
