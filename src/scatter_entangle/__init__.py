@@ -4,9 +4,9 @@ Two distinguishable particles approach each other in a product of Gaussian
 wave packets and scatter off a potential in their relative coordinate (hard
 core, Dirac delta, or double Dirac delta). This package computes how
 entangled the particles come out: the purity of the one-particle reduced
-density matrix, evaluated by Gauss-Legendre quadrature and singular-value
-decomposition, together with closed forms and constant-amplitude
-approximations to compare against.
+density matrix, evaluated by Gauss-Legendre quadrature and the Gram matrix
+of the samples (its eigenvalues are the Schmidt weights), together with
+closed forms and constant-amplitude approximations to compare against.
 """
 
 from .kinematics import (
@@ -44,7 +44,6 @@ from .purity import (
     WeightedAmplitudeMatrix,
     ZeroWavefunctionError,
     discretize,
-    gram_purity,
     jacobi_grid,
     joint_grid,
     mode_grid,
@@ -99,7 +98,6 @@ __all__ = [
     "ZeroWavefunctionError",
     "discretize",
     "purity_from_matrix",
-    "gram_purity",
     "purity_adaptive",
     "purity_out",
     "purity_pq_adaptive",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -94,41 +94,34 @@ def delta_amplitudes(q, alpha: float, mp: MassPartition) -> AmplitudePair:
     return _pair_like(q, 1.0 + r, r)
 
 
-def _link(q: np.ndarray, alpha: float, x: float, mp: MassPartition) -> tuple:
-    """Transfer matrix (M11, M12, M21, M22) of a delta of strength alpha >= 0 at x.
-
-    With g = i*b/q and b = mu_red*alpha,
-
-        M = [[1 + g,          g*exp(+2i*q*x)],
-             [-g*exp(-2i*q*x),         1 - g]],
-
-    so det M = 1 and alpha = 0 gives the identity. The sign of g makes a
-    single scatterer at the origin reproduce :func:`delta_amplitudes`.
-    """
-    g = 1j * (mp.mu_red * alpha) / q
-    phase = np.exp(2j * q * x)
-    return 1.0 + g, g * phase, -g / phase, 1.0 - g
-
-
 def _chain_amplitudes(
-    q: np.ndarray, scatterers: Sequence[Tuple[float, float]], mp: MassPartition
+    q: np.ndarray,
+    scatterers: Sequence[Tuple[float, float]],
+    mp: MassPartition,
+    phase: Callable[[float], np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(t, r) of point scatterers listed left to right.
 
-    The chain's transfer matrix is the product of the links' matrices in
-    propagation order (the rightmost scatterer acts last); then
-    t = det(M)/M22 and r = -M21/M22.
+    A delta of strength alpha >= 0 at x has the transfer matrix
+
+        N = [[1 + g,      g*e],
+             [-g*conj(e), 1 - g]],   g = i*b/q, b = mu_red*alpha, e = exp(2i*q*x),
+
+    so det N = 1 and alpha = 0 gives the identity; the sign of g makes a
+    single scatterer at the origin reproduce :func:`delta_amplitudes`. The
+    chain's matrix M is the product of the links' matrices in propagation
+    order (the rightmost scatterer acts last), and det M = 1 makes
+    t = 1/M22 and r = -M21/M22. Only M's second row is needed, so it is
+    built from the right: row2(M) = (0, 1) N_last ... N_first.
+    ``phase(x)`` returns exp(2i*q*x) on q's shape.
     """
-    m11, m12, m21, m22 = _link(q, *scatterers[0], mp)
-    for alpha, x in scatterers[1:]:
-        n11, n12, n21, n22 = _link(q, alpha, x, mp)
-        m11, m12, m21, m22 = (
-            n11 * m11 + n12 * m21,
-            n11 * m12 + n12 * m22,
-            n21 * m11 + n22 * m21,
-            n21 * m12 + n22 * m22,
-        )
-    return (m11 * m22 - m12 * m21) / m22, -m21 / m22
+    m21, m22 = 0.0, 1.0
+    for alpha, x in reversed(scatterers):
+        g = 1j * ((mp.mu_red * alpha) / q)
+        e = phase(x)
+        m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
+    t = 1.0 / m22
+    return t, -m21 * t
 
 
 def double_delta_amplitudes(
@@ -223,13 +216,26 @@ class AmplitudeModel:
         """b = mu_red * alpha, the momentum scale of a point scatterer."""
         return self.masses.mu_red * self.alpha
 
-    def amplitudes(self, q) -> AmplitudePair:
-        """(t(q), r(q)) for incident relative momenta q > 0."""
+    def amplitudes(
+        self, q, phase: Optional[Callable[[float], np.ndarray]] = None
+    ) -> AmplitudePair:
+        """(t(q), r(q)) for incident relative momenta q > 0.
+
+        ``phase(x)``, if given, must return exp(2i*q*x) on q's shape; a
+        caller that can form these scatterer phases more cheaply than a
+        complex exp per point (a tensor grid) passes it. Only chains use it.
+        """
         if self.kind is PotentialKind.HARD_CORE:
             return hardcore_amplitudes(q)
         if self.kind is PotentialKind.DIRAC_DELTA:
             return delta_amplitudes(q, self.alpha, self.masses)
-        t, r = _chain_amplitudes(_as_positive_q(q), self.scatterers, self.masses)
+        arr = _as_positive_q(q)
+        if phase is None:
+
+            def phase(x: float) -> np.ndarray:
+                return np.exp(2j * arr * x)
+
+        t, r = _chain_amplitudes(arr, self.scatterers, self.masses, phase)
         return _pair_like(q, t, r)
 
 

@@ -376,7 +376,7 @@ def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
             raise ConfigError(f"--rel-tol out of range [1e-10, 0.1]: {rel_tol_override}")
         eng["rel_tol"] = rel_tol_override
     try:
-        check_ladder(eng["rel_tol"], eng["base_n"], eng["n_cap"])
+        check_ladder(eng["rel_tol"], eng["base_n"], eng["n_cap"], eng["overlap_n"])
     except ValueError as exc:
         raise ConfigError(f"$.engine: {exc}") from exc
     return eng

@@ -1,11 +1,16 @@
-"""Purity of the one-particle reduced density matrix, by quadrature + SVD.
+"""Purity of the one-particle reduced density matrix, by quadrature and a Gram matrix.
 
 A two-particle momentum wave function sampled on a tensor Gauss-Legendre
 grid, with quadrature weights folded in as A[i, j] = sqrt(w1_i * w2_j) *
-phi(p1_i, p2_j), turns the purity integral into matrix algebra: the singular
-values s of A give the Schmidt weights lambda = s^2 / sum(s^2) and
+phi(p1_i, p2_j), turns the purity integral into matrix algebra. With G the
+smaller of the Gram matrices A^H A and A A^H (Hermitian, the size of A's
+shorter side),
 
-    purity = sum(lambda^2) = Tr((A A^H)^2) / Tr(A A^H)^2.
+    purity = Tr(G^2) / Tr(G)^2 = ||G||_F^2 / Tr(G)^2,
+
+and the eigenvalues of G over Tr(G) are the Schmidt weights lambda, with
+purity = sum(lambda^2). Refinement levels need only the purity; the
+eigensolve runs once, on the last level's G.
 
 Windows are centered on each mode and wide enough (default +-8 sigma per
 axis) that the truncated tails are far below the refinement tolerance. Grids
@@ -22,17 +27,21 @@ additivity cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .kinematics import JacobiMomentum
+from .kinematics import JacobiMomentum, PairMomentum
 from .wavefunction import (
     GaussianInState,
     Mode,
     ModeWavefunction,
+    eval_amplitudes,
+    eval_in,
     eval_in_jacobi,
+    eval_reflected_in,
     mode_center,
     mode_covariance,
 )
@@ -48,7 +57,6 @@ __all__ = [
     "check_ladder",
     "discretize",
     "purity_from_matrix",
-    "gram_purity",
     "purity_adaptive",
     "purity_out",
     "purity_pq_adaptive",
@@ -105,7 +113,31 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """``np.polynomial.legendre.leggauss(n)``, with its eigensolve on the band.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 1969), which
+    numpy hands to a dense O(n^3) solver: about 4 s at n = 4096. This is
+    numpy's algorithm (same companion band, one Newton polish, same weight
+    formula and symmetrization) with only that eigensolve replaced, and it
+    returns the same bits.
+    """
+    leg = np.polynomial.legendre
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:])
+    c = np.array([0] * n + [1])
+    dy = leg.legval(x, c)
+    df = leg.legval(x, leg.legder(c))
+    x -= dy / df
+    # the weights, scaled against overflow
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,9 +160,16 @@ class WeightedAmplitudeMatrix:
     weights2: np.ndarray
     a: np.ndarray
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The smaller Gram matrix, A^H A or A A^H; formed once per matrix."""
+        a = self.a
+        return a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+
     @property
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.a) ** 2))
+        """||A||_F^2 = Tr(G)."""
+        return float(np.trace(self.gram).real)
 
 
 def discretize(
@@ -159,35 +198,29 @@ def discretize(
     return WeightedAmplitudeMatrix(nodes1=x1, nodes2=x2, weights1=w1, weights2=w2, a=a)
 
 
-def purity_from_matrix(wam: WeightedAmplitudeMatrix) -> Tuple[float, np.ndarray]:
-    """(purity, Schmidt spectrum) from the singular values of the matrix.
+def purity_from_matrix(
+    wam: WeightedAmplitudeMatrix, spectrum: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
+    """(purity, Schmidt spectrum) from the Gram matrix G of the samples.
 
-    The spectrum is normalized to sum to 1; purity = sum(spectrum^2). Cross-
-    checked against :func:`gram_purity` (trace route) and, in the test suite,
-    an O(N^4) direct contraction of the purity integral.
+    purity = ||G||_F^2 / Tr(G)^2. The spectrum, G's eigenvalues in
+    descending order, clipped at 0 and normalized to sum to 1, is computed
+    only when ``spectrum`` is true (None otherwise), so that a refinement
+    ladder pays for one eigensolve rather than one per level. Checked in the
+    test suite against the singular values of A and an O(N^4) direct
+    contraction of the purity integral.
     """
-    if wam.norm_sq == 0.0:
+    norm_sq = wam.norm_sq
+    if norm_sq == 0.0:
         raise ZeroWavefunctionError("wave function vanishes on the entire grid")
-    s = np.linalg.svd(wam.a, compute_uv=False)
-    s2 = s * s
-    total = s2.sum()
-    spectrum = s2 / total
-    purity = float(np.sum(spectrum * spectrum))
-    return purity, spectrum
+    purity = float(np.sum(np.abs(wam.gram) ** 2)) / norm_sq**2
+    return purity, _schmidt_spectrum(wam) if spectrum else None
 
 
-def gram_purity(wam: WeightedAmplitudeMatrix) -> float:
-    """Purity via the Gram matrix: ||G||_F^2 / Tr(G)^2 with G = A^H A.
-
-    Independent route from the SVD (no eigensolve); uses whichever side of
-    the matrix is smaller.
-    """
-    if wam.norm_sq == 0.0:
-        raise ZeroWavefunctionError("wave function vanishes on the entire grid")
-    a = wam.a
-    g = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    tr = float(np.trace(g).real)
-    return float(np.sum(np.abs(g) ** 2)) / tr**2
+def _schmidt_spectrum(wam: WeightedAmplitudeMatrix) -> np.ndarray:
+    # eigvalsh leaves roundoff-sized negative weights on rank-deficient grids
+    lam = np.clip(np.linalg.eigvalsh(wam.gram)[::-1], 0.0, None)
+    return lam / lam.sum()
 
 
 @dataclass(frozen=True)
@@ -249,20 +282,26 @@ def _as_pair(n: NPair) -> Tuple[int, int]:
     return int(n), int(n)
 
 
-def check_ladder(rel_tol: float, base_n: NPair, n_cap: NPair) -> None:
-    """Reject refinement-ladder settings the engine cannot run.
+def check_ladder(
+    rel_tol: float, base_n: NPair, n_cap: NPair, overlap_n: NPair = 256
+) -> None:
+    """Reject engine settings that the refinement ladder or purity_out cannot run.
 
-    rel_tol below 1e-10 is unreachable (SVD roundoff floor). Per axis, the
-    starting node count and its cap must be powers of two >= 32, and the cap
-    must not lie below the start. Messages name the setting and the axis.
+    rel_tol below 1e-10 is unreachable (roundoff floor of the quadrature
+    purity). Per axis, the starting node count, its cap and the overlap
+    diagnostic's node count must be powers of two >= 32, and the cap must
+    not lie below the start. Messages name the setting and the axis.
     """
     if rel_tol < 1e-10:
         raise ValueError(f"rel_tol below 1e-10 is unreachable, got {rel_tol}")
-    for axis, n0, cap in zip(("n1", "n2"), _as_pair(base_n), _as_pair(n_cap)):
+    for axis, n0, cap, n_ov in zip(
+        ("n1", "n2"), _as_pair(base_n), _as_pair(n_cap), _as_pair(overlap_n)
+    ):
         _check_n(n0, f"base_n for {axis}")
         _check_n(cap, f"n_cap for {axis}")
         if cap < n0:
             raise ValueError(f"n_cap for {axis} = {cap} below base_n = {n0}")
+        _check_n(n_ov, f"overlap_n for {axis}")
 
 
 def purity_adaptive(
@@ -286,7 +325,7 @@ def purity_adaptive(
     converged = False
     while True:
         wam = discretize(wavefn, grid)
-        purity, spectrum = purity_from_matrix(wam)
+        purity, _ = purity_from_matrix(wam, spectrum=False)
         trace.append((grid.n1, grid.n2, purity))
         if prev is not None:
             err = abs(purity - prev) / max(abs(purity), 1e-300)
@@ -299,6 +338,7 @@ def purity_adaptive(
         prev = purity
         grid = nxt
 
+    spectrum = _schmidt_spectrum(wam)
     oob = None
     oob_fn = getattr(wavefn, "incident_oob_mask", None)
     if oob_fn is not None:
@@ -386,8 +426,9 @@ def purity_out(
     |<transmitted|reflected>| is evaluated on a joint grid as a diagnostic of
     the split's validity. A branch with exactly zero weight (hard core
     transmission) contributes nothing and is marked absent via a None
-    sub-report.
+    sub-report. All settings are checked by :func:`check_ladder` first.
     """
+    check_ladder(rel_tol, base_n, n_cap, overlap_n)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
     ref = ModeWavefunction(Mode.REFLECTED, state, model)
 
@@ -422,8 +463,10 @@ def purity_out(
     jg = joint_grid(state, overlap_n, nsig)
     x1, w1 = axis_nodes(jg.n1, jg.window1)
     x2, w2 = axis_nodes(jg.n2, jg.window2)
-    tv = tra(x1[:, None], x2[None, :])
-    rv = ref(x1[:, None], x2[None, :])
+    pm = PairMomentum(x1[:, None], x2[None, :])
+    amp = eval_amplitudes(state, model, pm)  # shared by both branches
+    tv = amp.t * eval_in(state, pm)
+    rv = amp.r * eval_reflected_in(state, pm)
     overlap = abs(np.sum(w1[:, None] * w2[None, :] * np.conj(tv) * rv))
 
     live = [r for r in (rep_t, rep_r) if r is not None]

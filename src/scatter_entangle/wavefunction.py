@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .amplitudes import AmplitudeModel
+from .amplitudes import AmplitudeModel, AmplitudePair
 from .kinematics import (
     JacobiMomentum,
     MassPartition,
@@ -42,6 +42,7 @@ __all__ = [
     "eval_in",
     "eval_reflected_in",
     "eval_mode",
+    "eval_amplitudes",
     "eval_in_jacobi",
     "mode_center",
     "mode_covariance",
@@ -113,8 +114,13 @@ _NEEDS_MODEL = (Mode.TRANSMITTED, Mode.REFLECTED, Mode.OUT)
 _REVERSED_INCIDENT = (Mode.REFLECTED, Mode.REFLECTED_IN)
 
 
-def eval_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """phi_in at the given momenta; supports broadcasting of p1 against p2."""
+def _is_tensor_grid(x1: ArrayLike, x2: ArrayLike) -> bool:
+    """True when x1 and x2 broadcast as an outer product, e.g. shapes (n1, 1), (1, n2)."""
+    return np.size(x1) + np.size(x2) < np.broadcast(x1, x2).size
+
+
+def _in_exponents(state: GaussianInState, pm: PairMomentum) -> tuple:
+    """phi_in's normalization and the exponents of its p1 and p2 factors."""
     p1, p2 = pm
     norm = (2.0 * np.pi * state.sigma1**2) ** -0.25 * (
         2.0 * np.pi * state.sigma2**2
@@ -125,6 +131,20 @@ def eval_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
     g2 = 1j * np.multiply(p2, state.a2) - (np.add(p2, state.k) ** 2) / (
         4.0 * state.sigma2**2
     )
+    return norm, g1, g2
+
+
+def eval_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
+    """phi_in at the given momenta; supports broadcasting of p1 against p2."""
+    norm, g1, g2 = _in_exponents(state, pm)
+    return norm * np.exp(g1 + g2)
+
+
+def _eval_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
+    """:func:`eval_in`, formed on a tensor grid from two 1-D exps and their outer product."""
+    norm, g1, g2 = _in_exponents(state, pm)
+    if _is_tensor_grid(g1, g2):
+        return norm * np.exp(g1) * np.exp(g2)
     return norm * np.exp(g1 + g2)
 
 
@@ -171,17 +191,37 @@ def eval_mode(mw: ModeWavefunction, pm: PairMomentum) -> np.ndarray:
     if mw.mode is Mode.REFLECTED_IN:
         return eval_reflected_in(state, pm)
 
-    q = pair_to_jacobi(pm, mw.masses).q
+    t, r = eval_amplitudes(state, mw.amplitudes, pm)
+    if mw.mode is Mode.TRANSMITTED:
+        return t * _eval_in_on_grid(state, pm)
+    if mw.mode is Mode.REFLECTED:
+        return r * eval_reflected_in(state, pm)
+    return t * _eval_in_on_grid(state, pm) + r * eval_reflected_in(state, pm)
+
+
+def eval_amplitudes(
+    state: GaussianInState, model: AmplitudeModel, pm: PairMomentum
+) -> AmplitudePair:
+    """(t, r) at the relative momenta q of the pair momenta, evaluated at |q|.
+
+    On a tensor grid every scatterer phase exp(2i|q|x) is the outer product
+    of the 1-D exponentials exp(2i*mu2*x*p1) and exp(-2i*mu1*x*p2), since
+    q = mu2*p1 - mu1*p2, conjugated where q < 0.
+    """
+    mp = state.masses
+    q = pair_to_jacobi(pm, mp).q
     # floor |q| so composite transfer matrices stay finite at stray q == 0
     # nodes; the state weight there is a deep Gaussian tail
     q_abs = np.maximum(np.abs(q), 1e-13 * state.k)
-    t, r = mw.amplitudes.amplitudes(q_abs)
+    p1, p2 = pm
+    if not _is_tensor_grid(p1, p2):
+        return model.amplitudes(q_abs)
 
-    if mw.mode is Mode.TRANSMITTED:
-        return t * eval_in(state, pm)
-    if mw.mode is Mode.REFLECTED:
-        return r * eval_reflected_in(state, pm)
-    return t * eval_in(state, pm) + r * eval_reflected_in(state, pm)
+    def phase(x: float) -> np.ndarray:
+        e = np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2)
+        return np.conjugate(e, out=e, where=q < 0.0)
+
+    return model.amplitudes(q_abs, phase)
 
 
 def eval_in_jacobi(

@@ -210,6 +210,7 @@ def test_validate_passes(capsys):
         lambda d: d.update(masses={"mu1": 1.5}),
         lambda d: d.update(engine={"n_cap": [1024, 96]}),
         lambda d: d.update(engine={"base_n": [64, 128], "n_cap": [1024, 64]}),
+        lambda d: d.update(engine={"overlap_n": 48}),
     ],
 )
 def test_bad_purity_configs_exit_2(tmp_path, capsys, mangle):

@@ -15,8 +15,8 @@ from scatter_entangle.purity import (
     GridSpec,
     ZeroWavefunctionError,
     check_ladder,
+    _leggauss,
     discretize,
-    gram_purity,
     joint_grid,
     mode_grid,
     purity_adaptive,
@@ -79,12 +79,28 @@ def test_two_disjoint_lobes_halve_the_purity():
         lambda P1, P2: np.exp(-((P1 - 1) ** 2) / 0.04 - (P2 + 1) ** 2 / 0.16),
         lambda P1, P2: np.exp(-(P1**2) - P2**2 + 0.7j * P1 * P2),
         lambda P1, P2: np.exp(-(P1**2) - P2**2) * (P1 + 1j * P2),
+        # rank 2: roundoff leaves eigenvalues of either sign around zero
+        lambda P1, P2: np.exp(-(P1**2) - P2**2) * (1.0 + P1 * P2),
     ],
 )
 def test_gram_route_agrees_with_spectral_route(fn):
     wam = discretize(fn, square_grid(64, 6.0))
-    purity, _ = purity_from_matrix(wam)
-    assert gram_purity(wam) == pytest.approx(purity, rel=1e-12)
+    purity, spectrum = purity_from_matrix(wam)
+    s2 = np.linalg.svd(wam.a, compute_uv=False) ** 2
+    assert purity == pytest.approx(np.sum(s2**2) / np.sum(s2) ** 2, rel=1e-12)
+    np.testing.assert_allclose(spectrum, s2 / np.sum(s2), rtol=0, atol=1e-14)
+    assert np.all(spectrum >= 0.0)
+    assert np.all(np.diff(spectrum) <= 0.0)
+    assert spectrum.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024, 2048])
+def test_nodes_equal_numpy_leggauss_bitwise(n):
+    # 4096 is left out: numpy's dense eigensolve takes about 4 s there
+    x, w = _leggauss(n)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, x_np)
+    assert np.array_equal(w, w_np)
 
 
 def test_brute_force_contraction_agrees():
@@ -99,8 +115,6 @@ def test_zero_wavefunction_is_rejected():
     wam = discretize(fn, square_grid(32, 1.0))
     with pytest.raises(ZeroWavefunctionError):
         purity_from_matrix(wam)
-    with pytest.raises(ZeroWavefunctionError):
-        gram_purity(wam)
 
 
 def test_non_finite_samples_abort_with_location():
@@ -131,6 +145,11 @@ def test_grid_validation():
         check_ladder(1e-6, 64, [1024, 96])
     with pytest.raises(ValueError, match="n_cap for n2 = 64 below base_n = 128"):
         check_ladder(1e-6, [64, 128], (1024, 64))
+    with pytest.raises(ValueError, match="overlap_n for n1 must be a power of two"):
+        check_ladder(1e-6, 64, 1024, 48)
+    model = AmplitudeModel.dirac_delta(1.0, st.masses)
+    with pytest.raises(ValueError, match="overlap_n for n1 must be a power of two"):
+        purity_out(st, model, overlap_n=48)
 
 
 def test_schmidt_spectrum_is_a_distribution():

@@ -3,19 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from scatter_entangle.amplitudes import AmplitudeModel
+from scatter_entangle.amplitudes import AmplitudeModel, find_resonances
 from scatter_entangle.kinematics import (
     JacobiMomentum,
     MassPartition,
     PairMomentum,
     jacobi_to_pair,
 )
-from scatter_entangle.purity import discretize, mode_grid
+from scatter_entangle.purity import axis_nodes, discretize, mode_grid
 from scatter_entangle.wavefunction import (
     GaussianInState,
     IncomingnessWarning,
     Mode,
     ModeWavefunction,
+    eval_amplitudes,
     eval_in,
     eval_in_jacobi,
     eval_reflected_in,
@@ -219,3 +220,47 @@ def test_zero_relative_momentum_stays_finite():
     out = ModeWavefunction(Mode.OUT, st, model)
     val = out(1.0, 1.0)  # q = 0.5*1 - 0.5*1 == 0
     assert np.isfinite(val)
+
+
+CRITERION_10_MODEL = AmplitudeModel.double_dirac_delta(6.25, 10.0, HEAVY2)  # a*b = 10
+
+
+def _crossing_grid():
+    # the w = 5 transmitted grid of the criterion-10 layout: about a fifth of
+    # its nodes have q < 0, down to |q| ~ 3e-6 k
+    k = find_resonances(CRITERION_10_MODEL, (0.01, 1.0), 1)[0] + 0.018
+    st = GaussianInState(k=k, sigma1=k / 5, sigma2=k / 10, masses=HEAVY2)
+    grid = mode_grid(st, Mode.TRANSMITTED, (512, 256))
+    p1 = axis_nodes(grid.n1, grid.window1)[0][:, None]
+    p2 = axis_nodes(grid.n2, grid.window2)[0][None, :]
+    return st, PairMomentum(p1, p2)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CRITERION_10_MODEL,
+        AmplitudeModel.composite([(3.0, -7.0), (5.0, 1.5), (2.0, 4.0)], HEAVY2),
+    ],
+)
+def test_tensor_grid_amplitudes_match_pointwise_evaluation(model):
+    st, pm = _crossing_grid()
+    q = HEAVY2.mu2 * pm.p1 - HEAVY2.mu1 * pm.p2
+    assert 0.1 < np.mean(q < 0) < 0.3
+    t, r = eval_amplitudes(st, model, pm)
+    t_ref, r_ref = model.amplitudes(np.abs(q).ravel())
+    # near q = 0 the chain's O(g^2) terms cancel to O(g), g = i*b/q, so the
+    # last-bit difference between phases formed from p1 and p2 and phases
+    # formed from |q| grows to about 1e-16 * b/|q| in t and r there; the
+    # bound widens below |q| = 0.01 k accordingly
+    tol = 1e-13 * np.maximum(1.0, 1e-2 * st.k / np.abs(q)).ravel()
+    assert np.all(np.abs(t.ravel() - t_ref) <= tol)
+    assert np.all(np.abs(r.ravel() - r_ref) <= tol)
+
+
+def test_transmitted_branch_on_a_tensor_grid_matches_pointwise_evaluation():
+    st, pm = _crossing_grid()
+    tra = ModeWavefunction(Mode.TRANSMITTED, st, CRITERION_10_MODEL)
+    full = PairMomentum(*np.broadcast_arrays(pm.p1, pm.p2))
+    tensor, pointwise = tra(*pm), tra(*full)
+    assert np.max(np.abs(tensor - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
