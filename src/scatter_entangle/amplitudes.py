@@ -112,16 +112,51 @@ def _chain_amplitudes(
     chain's matrix M is the product of the links' matrices in propagation
     order (the rightmost scatterer acts last), and det M = 1 makes
     t = 1/M22 and r = -M21/M22. Only M's second row is needed, so it is
-    built from the right: row2(M) = (0, 1) N_last ... N_first.
-    ``phase(x)`` returns exp(2i*q*x) on q's shape.
+    built from the right: row2(M) = (0, 1) N_last ... N_first, carried as
+    (n, m22) with n = -M21. The rightmost link maps (0, 1) to
+    (g*conj(e), 1 - g); each link to its left then does
+
+        n   <- n   + g*(m22*conj(e) + n),
+        m22 <- m22 - g*(n*e + m22),
+
+    with n and m22 updated in place. Complex products with fused
+    multiply-adds do not commute bit for bit, so each product keeps the
+    operand order in which numpy evaluates the plain update of (M21, M22)
+    written as two assignments (the 0-d branch below): the amplitudes are
+    the same to the last bit. ``phase(x)`` returns a new array exp(2i*q*x)
+    of q's shape, which is used as scratch. A 0-d q runs that plain update
+    on numpy scalars, which round differently from array loops, so scalar
+    amplitudes (among them the CLI's T and R at k) keep their values.
     """
-    m21, m22 = 0.0, 1.0
+    if q.ndim == 0:
+        m21, m22 = 0.0, 1.0
+        for alpha, x in reversed(scatterers):
+            g = 1j * ((mp.mu_red * alpha) / q)
+            e = phase(x)
+            m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
+        t = 1.0 / m22
+        return t, -m21 * t
+    g = n = m22 = None
+    prev_alpha = None
     for alpha, x in reversed(scatterers):
-        g = 1j * ((mp.mu_red * alpha) / q)
+        if alpha != prev_alpha:  # the double delta's links share one g
+            g, prev_alpha = 1j * ((mp.mu_red * alpha) / q), alpha
         e = phase(x)
-        m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
-    t = 1.0 / m22
-    return t, -m21 * t
+        if n is None:
+            n = np.multiply(g, np.conjugate(e, out=e), out=e)
+            m22 = 1.0 - g
+            continue
+        # kept as the plain product's expression: on large arrays numpy
+        # reuses the conj temporary and multiplies as conj(e) * m22, and
+        # complex products with fused multiply-adds are not commutative
+        a = m22 * np.conj(e)
+        a += n
+        s = np.multiply(n, e, out=e)
+        s += m22
+        m22 -= np.multiply(g, s, out=s)
+        n += np.multiply(g, a, out=a)
+    t = np.divide(1.0, m22, out=m22)
+    return t, np.multiply(n, t, out=n)
 
 
 def double_delta_amplitudes(
@@ -221,9 +256,10 @@ class AmplitudeModel:
     ) -> AmplitudePair:
         """(t(q), r(q)) for incident relative momenta q > 0.
 
-        ``phase(x)``, if given, must return exp(2i*q*x) on q's shape; a
-        caller that can form these scatterer phases more cheaply than a
-        complex exp per point (a tensor grid) passes it. Only chains use it.
+        ``phase(x)``, if given, must return a new array exp(2i*q*x) of q's
+        shape, which the chain overwrites; a caller that can form these
+        scatterer phases more cheaply than a complex exp per point (a tensor
+        grid) passes it. Only chains use it.
         """
         if self.kind is PotentialKind.HARD_CORE:
             return hardcore_amplitudes(q)

@@ -569,7 +569,7 @@ def _sweep_point(
             masses=mp,
         )
         approx = _approximations(model, state)
-        rep = purity_out(state, model, **eng)
+        rep = purity_out(state, model, **eng, spectrum=False)  # no column prints it
     except ConsistencyAbort:
         raise
     except Exception as exc:  # recorded in the row; the sweep continues

@@ -10,7 +10,9 @@ shorter side),
 
 and the eigenvalues of G over Tr(G) are the Schmidt weights lambda, with
 purity = sum(lambda^2). Refinement levels need only the purity; the
-eigensolve runs once, on the last level's G.
+eigensolve runs once, on the last level's G, and only when the caller asks
+for the spectrum (``spectrum=True``, the default). The CLI sweep prints no
+spectrum and does not ask for it.
 
 Windows are centered on each mode and wide enough (default +-8 sigma per
 axis) that the truncated tails are far below the refinement tolerance. Grids
@@ -178,7 +180,9 @@ def discretize(
     """Sample ``wavefn(P1, P2)`` on the grid and fold in quadrature weights.
 
     Aborts with diagnostics if any sample is non-finite; purity downstream
-    would silently turn into NaN otherwise.
+    would silently turn into NaN otherwise. The weights are folded into the
+    sampled array in place, so ``wavefn`` must return a new array, as every
+    wave function of this package does.
     """
     x1, w1 = axis_nodes(grid.n1, grid.window1)
     x2, w2 = axis_nodes(grid.n2, grid.window2)
@@ -194,7 +198,7 @@ def discretize(
             f"{np.count_nonzero(bad)} non-finite samples on {grid.n1}x{grid.n2} grid, "
             f"first at (p1, p2) = ({x1[i]:.6g}, {x2[j]:.6g})"
         )
-    a = np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :] * vals
+    a = np.multiply(np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :], vals, out=vals)
     return WeightedAmplitudeMatrix(nodes1=x1, nodes2=x2, weights1=w1, weights2=w2, a=a)
 
 
@@ -230,11 +234,13 @@ class PurityReport:
     ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error`` is
     the last successive relative difference, NaN when only one grid ran. For
     out-state reports the branch fields are populated and
-    ``purity = purity_tra + purity_ref``.
+    ``purity = purity_tra + purity_ref``. ``schmidt_spectrum`` is None when
+    the computation ran with ``spectrum=False``, which skips the one
+    eigensolve of the final grid and leaves every other field unchanged.
     """
 
     purity: float
-    schmidt_spectrum: np.ndarray
+    schmidt_spectrum: Optional[np.ndarray]
     grid_n: Tuple[int, int]
     refinement_error: float
     converged: bool
@@ -253,14 +259,16 @@ class PurityReport:
 
     def as_dict(self, spectrum_head: int = 128) -> dict:
         err = self.refinement_error
+        lam = self.schmidt_spectrum
+        head = None if lam is None else [float(v) for v in lam[:spectrum_head]]
         d = {
             "purity": self.purity,
             "purity_tra": self.purity_tra,
             "purity_ref": self.purity_ref,
             "overlap": self.overlap,
-            "schmidt_spectrum": [float(v) for v in self.schmidt_spectrum[:spectrum_head]],
-            "schmidt_rank_reported": int(min(len(self.schmidt_spectrum), spectrum_head)),
-            "schmidt_rank_full": int(len(self.schmidt_spectrum)),
+            "schmidt_spectrum": head,
+            "schmidt_rank_reported": None if lam is None else len(head),
+            "schmidt_rank_full": None if lam is None else len(lam),
             "grid_n": list(self.grid_n),
             # JSON (RFC 8259) has no NaN, which a one-grid ladder leaves here
             "refinement_error": None if np.isnan(err) else err,
@@ -309,12 +317,14 @@ def purity_adaptive(
     grid: GridSpec,
     rel_tol: float = 1e-6,
     n_cap: NPair = 1024,
+    spectrum: bool = True,
 ) -> PurityReport:
     """Refine the grid by doubling until purity changes by less than rel_tol.
 
     Relative tolerance on successive differences; the settings are checked
     by :func:`check_ladder`. If the per-axis node caps are hit first, the
-    last result is returned with ``converged = False``.
+    last result is returned with ``converged = False``. The Schmidt
+    spectrum of the final grid is computed only if ``spectrum`` is true.
     """
     check_ladder(rel_tol, (grid.n1, grid.n2), n_cap)
     cap1, cap2 = _as_pair(n_cap)
@@ -338,7 +348,6 @@ def purity_adaptive(
         prev = purity
         grid = nxt
 
-    spectrum = _schmidt_spectrum(wam)
     oob = None
     oob_fn = getattr(wavefn, "incident_oob_mask", None)
     if oob_fn is not None:
@@ -347,7 +356,7 @@ def purity_adaptive(
 
     return PurityReport(
         purity=purity,
-        schmidt_spectrum=spectrum,
+        schmidt_spectrum=_schmidt_spectrum(wam) if spectrum else None,
         grid_n=(grid.n1, grid.n2),
         refinement_error=err,
         converged=converged,
@@ -417,7 +426,8 @@ def purity_out(
     base_n: NPair = 64,
     n_cap: NPair = 1024,
     nsig: float = 8.0,
-    overlap_n: int = 256,
+    overlap_n: NPair = 256,
+    spectrum: bool = True,
 ) -> PurityReport:
     """Purity of the full out-state via the two-branch mode split.
 
@@ -427,6 +437,8 @@ def purity_out(
     the split's validity. A branch with exactly zero weight (hard core
     transmission) contributes nothing and is marked absent via a None
     sub-report. All settings are checked by :func:`check_ladder` first.
+    With ``spectrum`` false neither branch runs its final eigensolve and the
+    report's spectra are None.
     """
     check_ladder(rel_tol, base_n, n_cap, overlap_n)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
@@ -436,7 +448,7 @@ def purity_out(
     for name, mode_fn, mode in (("tra", tra, Mode.TRANSMITTED), ("ref", ref, Mode.REFLECTED)):
         try:
             reports[name] = purity_adaptive(
-                mode_fn, mode_grid(state, mode, base_n, nsig), rel_tol, n_cap
+                mode_fn, mode_grid(state, mode, base_n, nsig), rel_tol, n_cap, spectrum
             )
         except ZeroWavefunctionError:
             reports[name] = None
@@ -453,12 +465,10 @@ def purity_out(
     purity_tra = w_t**2 * (rep_t.purity if rep_t is not None else 0.0)
     purity_ref = w_r**2 * (rep_r.purity if rep_r is not None else 0.0)
 
-    parts = []
-    if rep_t is not None:
-        parts.append(w_t * rep_t.schmidt_spectrum)
-    if rep_r is not None:
-        parts.append(w_r * rep_r.schmidt_spectrum)
-    spectrum = np.sort(np.concatenate(parts))[::-1]
+    lam = None
+    if spectrum:
+        parts = [w * r.schmidt_spectrum for w, r in ((w_t, rep_t), (w_r, rep_r)) if r is not None]
+        lam = np.sort(np.concatenate(parts))[::-1]
 
     jg = joint_grid(state, overlap_n, nsig)
     x1, w1 = axis_nodes(jg.n1, jg.window1)
@@ -472,7 +482,7 @@ def purity_out(
     live = [r for r in (rep_t, rep_r) if r is not None]
     return PurityReport(
         purity=purity_tra + purity_ref,
-        schmidt_spectrum=spectrum,
+        schmidt_spectrum=lam,
         grid_n=(
             max(r.grid_n[0] for r in live),
             max(r.grid_n[1] for r in live),

@@ -192,9 +192,16 @@ def eval_mode(mw: ModeWavefunction, pm: PairMomentum) -> np.ndarray:
         return eval_reflected_in(state, pm)
 
     t, r = eval_amplitudes(state, mw.amplitudes, pm)
+    # from 256 KiB up numpy forms these products in the Gaussian's own buffer
+    # (temporary elision), as psi * t: complex products with fused
+    # multiply-adds do not commute, so an explicit out= would move last bits.
+    # The unused amplitude is dropped before the Gaussian is formed, which
+    # lowers the peak memory of a branch by one grid-sized array.
     if mw.mode is Mode.TRANSMITTED:
+        del r
         return t * _eval_in_on_grid(state, pm)
     if mw.mode is Mode.REFLECTED:
+        del t
         return r * eval_reflected_in(state, pm)
     return t * _eval_in_on_grid(state, pm) + r * eval_reflected_in(state, pm)
 
@@ -217,9 +224,11 @@ def eval_amplitudes(
     if not _is_tensor_grid(p1, p2):
         return model.amplitudes(q_abs)
 
+    neg = q < 0.0
+
     def phase(x: float) -> np.ndarray:
         e = np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2)
-        return np.conjugate(e, out=e, where=q < 0.0)
+        return np.conjugate(e, out=e, where=neg)
 
     return model.amplitudes(q_abs, phase)
 

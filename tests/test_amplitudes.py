@@ -14,7 +14,8 @@ from scatter_entangle.amplitudes import (
     hardcore_amplitudes,
     unitarity_residual,
 )
-from scatter_entangle.kinematics import MassPartition
+from scatter_entangle.kinematics import MassPartition, PairMomentum
+from scatter_entangle.wavefunction import GaussianInState, eval_amplitudes
 
 MP = MassPartition(0.2)  # mu_red = 0.16
 
@@ -252,3 +253,55 @@ class TestResonances:
             find_resonances(self.model, (1.0, 0.5))
         with pytest.raises(ValueError):
             find_resonances(self.model, (0.1, 1.0), count=0)
+
+
+def _plain_chain(q, scatterers, mp):
+    """The chain as a plain product of the second row, with fresh temporaries."""
+    m21, m22 = 0.0, 1.0
+    for alpha, x in reversed(scatterers):
+        g = 1j * ((mp.mu_red * alpha) / q)
+        e = np.exp(2j * q * x)
+        m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
+    t = 1.0 / m22
+    return t, -m21 * t
+
+
+CHAINS = {
+    "double_delta": AmplitudeModel.double_dirac_delta(6.25, 10.0, MP),  # a*b = 10
+    "composite": AmplitudeModel.composite([(3, -7), (5, 1.5), (2, 4)], MP),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_in_place_chain_matches_the_plain_product_bitwise(name):
+    model = CHAINS[name]
+    # numpy evaluates the plain form's m22 * conj(e) as conj(e) * m22 from
+    # 256 KiB up (it reuses the temporary), so sizes on both sides are checked
+    rng = np.random.default_rng(7)
+    for qs in (rng.uniform(1e-4, 5.0, 10**4), rng.uniform(1e-4, 5.0, (256, 128))):
+        t, r = model.amplitudes(qs)
+        t_ref, r_ref = _plain_chain(qs, model.scatterers, MP)
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chain_keeps_the_type_and_shape_of_q(name):
+    model = CHAINS[name]
+    # numpy scalars round differently from array loops, so a scalar is held
+    # to the plain product on a 0-d array, not to a one-element array
+    plain = _plain_chain(np.array(0.7), model.scatterers, MP)
+    for q in (0.7, np.float64(0.7), np.array(0.7)):
+        t, r = model.amplitudes(q)
+        assert type(t) is complex and type(r) is complex
+        assert (t, r) == plain
+    for q in (np.empty(0), np.full((3, 4), 0.7)):
+        t, r = model.amplitudes(q)
+        assert t.shape == r.shape == q.shape
+        assert t.dtype == r.dtype == complex
+    # a tensor grid reaches the chain with its separable phases
+    state = GaussianInState(k=1.0, sigma1=0.2, sigma2=0.1, masses=MP)
+    pm = PairMomentum(np.linspace(0.5, 1.5, 5)[:, None], np.linspace(-1.5, -0.5, 3)[None, :])
+    t, r = eval_amplitudes(state, model, pm)
+    assert t.shape == r.shape == (5, 3)
+    assert t.dtype == r.dtype == complex

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scatter_entangle import purity
 from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.cli import run
 
@@ -164,6 +165,53 @@ def test_sweep_output_is_order_stable_across_workers(tmp_path):
     assert run(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert run(["sweep", "--config", str(cfg), "--out", str(out3), "--workers", "3"]) == 0
     assert out1.read_bytes() == out3.read_bytes()
+
+
+DOUBLE_DELTA = {"kind": "double_delta", "alpha": 6.25, "half_separation_times_strength": 10.0}
+
+
+def test_sweep_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
+    # no sweep column reads the Schmidt spectrum, so a sweep must not pay for it
+    engine = {"rel_tol": 1e-4, "base_n": 32, "n_cap": 128, "overlap_n": 64}
+    sweep_cfg = write_config(
+        tmp_path,
+        "sweep.json",
+        {
+            "masses": {"mu1": 0.2},
+            "potential": DOUBLE_DELTA,
+            "state": {"sigma1_over_k": 0.2, "sigma2_over_k": 0.1},
+            "k_axis": {"start": 0.3, "stop": 0.6, "num": 3, "unit": "b"},
+            "engine": engine,
+        },
+    )
+    capsys.readouterr()
+    assert run(["sweep", "--config", str(sweep_cfg)]) == 0
+    expected = capsys.readouterr().out
+    assert "Error" not in expected  # every row computed, so the error column is empty
+
+    def no_eigensolve(wam):
+        raise AssertionError("the sweep asked for a Schmidt spectrum")
+
+    monkeypatch.setattr(purity, "_schmidt_spectrum", no_eigensolve)
+    for workers in ("1", "2"):
+        assert run(["sweep", "--config", str(sweep_cfg), "--workers", workers]) == 0
+        assert capsys.readouterr().out == expected
+    monkeypatch.undo()
+
+    purity_cfg = write_config(
+        tmp_path,
+        "purity.json",
+        {
+            "masses": {"mu1": 0.2},
+            "potential": DOUBLE_DELTA,
+            "state": {"k": 0.45, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1},
+            "engine": engine,
+        },
+    )
+    assert run(["purity", "--config", str(purity_cfg)]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["schmidt_rank_full"] >= rep["schmidt_rank_reported"] > 1
+    assert sum(rep["schmidt_spectrum"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_strict_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -150,6 +151,60 @@ def test_grid_validation():
     model = AmplitudeModel.dirac_delta(1.0, st.masses)
     with pytest.raises(ValueError, match="overlap_n for n1 must be a power of two"):
         purity_out(st, model, overlap_n=48)
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# every PurityReport field the spectrum switch must leave bit for bit alone;
+# repr round-trips a float exactly and prints NaN, so equal reprs are equal bits
+UNTOUCHED = (
+    "purity",
+    "purity_tra",
+    "purity_ref",
+    "norm_sq",
+    "refinements",
+    "grid_n",
+    "refinement_error",
+    "converged",
+    "oob_weight",
+    "overlap",
+)
+
+
+def assert_same_but_spectrum(with_spec, without):
+    for name in UNTOUCHED:
+        assert repr(getattr(without, name)) == repr(getattr(with_spec, name)), name
+    assert with_spec.schmidt_spectrum is not None
+    assert without.schmidt_spectrum is None
+    d = json.loads(json.dumps(without.as_dict()), parse_constant=_raise_on_constant)
+    for rep in [d] + [d[b] for b in ("tra", "ref") if b in d]:
+        assert rep["schmidt_spectrum"] is None
+        assert rep["schmidt_rank_reported"] is None
+        assert rep["schmidt_rank_full"] is None
+
+
+def test_purity_out_without_spectrum_changes_nothing_else():
+    st = make_state(mu1=0.2)
+    model = AmplitudeModel.double_dirac_delta(6.25, 2.0, st.masses)
+    kw = dict(rel_tol=1e-6, base_n=32, n_cap=256, overlap_n=64)
+    with_spec = purity_out(st, model, **kw)
+    without = purity_out(st, model, **kw, spectrum=False)
+    assert len(with_spec.refinements) > 2
+    assert_same_but_spectrum(with_spec, without)
+    for branch in ("tra_report", "ref_report"):
+        assert_same_but_spectrum(getattr(with_spec, branch), getattr(without, branch))
+
+
+@pytest.mark.parametrize("n_cap", [256, 32])  # 32: one level, NaN refinement error
+def test_purity_adaptive_without_spectrum_changes_nothing_else(n_cap):
+    st = make_state(mu1=0.2)
+    fn = ModeWavefunction(Mode.REFLECTED, st, AmplitudeModel.dirac_delta(6.25, st.masses))
+    grid = mode_grid(st, Mode.REFLECTED, 32)
+    with_spec = purity_adaptive(fn, grid, 1e-6, n_cap)
+    without = purity_adaptive(fn, grid, 1e-6, n_cap, spectrum=False)
+    assert_same_but_spectrum(with_spec, without)
 
 
 def test_schmidt_spectrum_is_a_distribution():
