@@ -9,8 +9,12 @@ The layer is thin: configs become library objects, and the engine validates
 its own settings (purity.check_ladder), which the CLI runs once before any
 work so that a bad engine config exits 2 instead of failing row by row.
 
-Exit codes: 0 success; 1 failed self checks or an internal consistency
-abort; 2 config errors; 3 unconverged quadrature under --strict.
+Exit codes: 0 success; 1 failed self checks, an internal consistency abort
+or a defect (an unexpected exception, with its traceback); 2 config errors;
+3 unconverged quadrature under --strict. A sweep records in a row's error
+column only the failures that depend on that point's configuration.
+
+Run as ``scatter-entangle`` or ``python -m scatter_entangle.cli``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ from .analytic import (
     schulman_satisfied,
 )
 from .kinematics import MassPartition
-from .purity import check_ladder, mode_grid, purity_adaptive, purity_out
+from .purity import (
+    ZeroWavefunctionError,
+    check_ladder,
+    mode_grid,
+    purity_adaptive,
+    purity_out,
+)
 from .validate import run_all
 from .wavefunction import GaussianInState, Mode, ModeWavefunction
 
@@ -556,8 +566,13 @@ SWEEP_COLUMNS = [
 def _sweep_point(
     model: AmplitudeModel, widths: dict, eng: dict, k_axis: float, k: float
 ) -> dict:
-    """One sweep row, keyed by SWEEP_COLUMNS names; a failure fills only
-    k, mu1 and error and leaves the numbers NaN."""
+    """One sweep row, keyed by SWEEP_COLUMNS names.
+
+    A failure that depends on the point's configuration (the state rejects
+    its widths, or its wave function vanishes or has non-finite samples)
+    fills only k, mu1 and error and leaves the numbers NaN. Anything else is
+    a defect and propagates, so the sweep exits 1.
+    """
     mp = model.masses
     row = dict.fromkeys((name for name, _ in SWEEP_COLUMNS), float("nan"))
     row.update(k=k_axis, mu1=mp.mu1, grid_N=0, converged=False, error=None)
@@ -568,11 +583,13 @@ def _sweep_point(
             sigma2=widths["sigma2_over_k"] * k,
             masses=mp,
         )
-        approx = _approximations(model, state)
+    except ValueError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    approx = _approximations(model, state)
+    try:
         rep = purity_out(state, model, **eng, spectrum=False)  # no column prints it
-    except ConsistencyAbort:
-        raise
-    except Exception as exc:  # recorded in the row; the sweep continues
+    except (ZeroWavefunctionError, FloatingPointError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row.update((name, v) for name, v in approx.items() if name in row)
@@ -714,3 +731,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

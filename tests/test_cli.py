@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scatter_entangle import purity
+import scatter_entangle
+from scatter_entangle import cli, purity
 from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.cli import run
 
@@ -212,6 +217,71 @@ def test_sweep_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["schmidt_rank_full"] >= rep["schmidt_rank_reported"] > 1
     assert sum(rep["schmidt_spectrum"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _python(args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(scatter_entangle.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = _python(["-m", "scatter_entangle.cli", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    for command in ("amplitudes", "purity", "sweep", "reflectmap", "validate"):
+        assert command in proc.stdout
+
+
+_DEFECTIVE_SWEEP = """
+from scatter_entangle import cli
+
+def purity_out(*args, **kwargs):
+    raise TypeError("a defect in the engine")
+
+cli.purity_out = purity_out
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_exits_1_on_an_engine_defect(tmp_path, workers):
+    cfg = write_config(tmp_path, "sweep.json", SWEEP_CFG)
+    proc = _python(["-c", _DEFECTIVE_SWEEP, "sweep", "--config", str(cfg), "--workers", workers])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "TypeError: a defect in the engine" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        purity.ZeroWavefunctionError("both scattering branches vanish"),
+        FloatingPointError("3 non-finite samples on 64x64 grid"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_records_a_points_own_failure_in_its_row(tmp_path, monkeypatch, exc, workers):
+    cfg = write_config(tmp_path, "sweep.json", SWEEP_CFG)
+    failing_k = np.linspace(0.8, 1.3, 4)[1]  # in units of b = mu_red * alpha = 1
+    real = cli.purity_out
+
+    def purity_out(state, model, **kw):
+        if state.k == pytest.approx(failing_k, rel=1e-12):
+            raise exc
+        return real(state, model, **kw)
+
+    monkeypatch.setattr(cli, "purity_out", purity_out)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 0
+    _, cols = read_csv(out)
+    assert cols["error"] == ["", f"{type(exc).__name__}: {exc}", "", ""]
+    assert cols["purity_exact"][1] == "nan" and cols["T"][1] == "nan"
+    assert cols["converged"] == ["true", "false", "true", "true"]
 
 
 def test_sweep_strict_exit_code(tmp_path):

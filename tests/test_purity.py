@@ -1,23 +1,27 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from scatter_entangle.amplitudes import AmplitudeModel
+from scatter_entangle import purity as purity_module
+from scatter_entangle.amplitudes import AmplitudeModel, find_resonances
 from scatter_entangle.analytic import (
     reflected_gaussian_purity,
     reflected_gaussian_purity_mu_c,
 )
-from scatter_entangle.kinematics import MassPartition
+from scatter_entangle.kinematics import JacobiMomentum, MassPartition
 from scatter_entangle.purity import (
     AxisWindow,
     GridSpec,
     ZeroWavefunctionError,
     check_ladder,
     _leggauss,
+    axis_nodes,
     discretize,
+    jacobi_grid,
     joint_grid,
     mode_grid,
     purity_adaptive,
@@ -29,6 +33,7 @@ from scatter_entangle.wavefunction import (
     GaussianInState,
     Mode,
     ModeWavefunction,
+    eval_in_jacobi,
 )
 
 
@@ -124,8 +129,95 @@ def test_non_finite_samples_abort_with_location():
         vals[(P1 > 0.5) & (P2 > 0.5)] = np.nan
         return vals
 
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        discretize(fn, square_grid(32, 1.0))
+    # 512^2 samples in 8 blocks of 64 rows: the NaNs begin in the sixth
+    grid = square_grid(512, 1.0)
+    x, _ = axis_nodes(512, grid.window1)
+    assert np.argmax(x > 0.5) // 64 == 5
+    first = x[x > 0.5][0]
+    count = np.count_nonzero(x > 0.5) ** 2
+    with pytest.raises(FloatingPointError) as info:
+        discretize(fn, grid)
+    assert str(info.value) == (
+        f"{count} non-finite samples on 512x512 grid, "
+        f"first at (p1, p2) = ({first:.6g}, {first:.6g})"
+    )
+
+
+def one_call_samples(wavefn, grid):
+    """The whole grid sampled in one call and weighted, the reference for blocking."""
+    x1, w1 = axis_nodes(grid.n1, grid.window1)
+    x2, w2 = axis_nodes(grid.n2, grid.window2)
+    vals = np.asarray(wavefn(x1[:, None], x2[None, :]), dtype=complex)
+    return np.multiply(np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :], vals, out=vals)
+
+
+def _cheap_leggauss(n):
+    # stands in for Gauss-Legendre nodes where 32768 of them would cost ~25 s
+    return np.linspace(-1.0, 1.0, n), np.full(n, 2.0 / n)
+
+
+BLOCK_MASSES = MassPartition(0.2)
+BLOCK_DD = AmplitudeModel.double_dirac_delta(1.0 / BLOCK_MASSES.mu_red, 10.0, BLOCK_MASSES)
+_K = find_resonances(BLOCK_DD, (0.01, 1.0), 1)[0] + 0.018
+BLOCK_STATE = GaussianInState(k=_K, sigma1=_K / 5, sigma2=_K / 10, masses=BLOCK_MASSES)
+BLOCK_MODELS = {
+    "double_delta": BLOCK_DD,
+    "composite": AmplitudeModel.composite([(3.0, -7.0), (5.0, 1.5), (2.0, 4.0)], BLOCK_MASSES),
+    "delta": AmplitudeModel.dirac_delta(6.25, BLOCK_MASSES),
+    "hard_core": AmplitudeModel.hard_core(BLOCK_MASSES),
+}
+# Grids of many blocks of 32 rows, of 32 such blocks, of one block and of
+# blocks of only the 2-row floor (32768 nodes per row). Each model and
+# branch meets a multi-block grid; the sizes are kept to what tier-1 affords.
+BLOCK_CASES = [
+    ("double_delta", (4096, 1024)),
+    ("double_delta", (32, 32768)),
+    ("composite", (1024, 1024)),
+    ("delta", (1024, 1024)),
+    ("hard_core", (1024, 1024)),
+] + [(kind, (128, 64)) for kind in BLOCK_MODELS]
+
+
+def _assert_blocking_keeps_the_bits(wavefn, grid, monkeypatch):
+    if grid.n2 > 4096:
+        monkeypatch.setattr(purity_module, "_leggauss", _cheap_leggauss)
+    ref = one_call_samples(wavefn, grid)
+    a = discretize(wavefn, grid).a
+    assert a.shape == ref.shape
+    assert np.array_equal(a.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED], ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "kind, shape", BLOCK_CASES, ids=[f"{k}-{n1}x{n2}" for k, (n1, n2) in BLOCK_CASES]
+)
+def test_blocked_sampling_equals_one_call_bitwise(kind, shape, mode, monkeypatch):
+    fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_MODELS[kind])
+    _assert_blocking_keeps_the_bits(fn, mode_grid(BLOCK_STATE, mode, shape), monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(1024, 1024), (128, 64)], ids="{0[0]}x{0[1]}".format)
+def test_blocked_sampling_equals_one_call_bitwise_in_jacobi_coordinates(shape, monkeypatch):
+    # the wave function of purity_pq_adaptive: pointwise, no separable phases
+    out = ModeWavefunction(Mode.OUT, BLOCK_STATE, BLOCK_DD)
+    fn = lambda P, Q: eval_in_jacobi(out, JacobiMomentum(P, Q))
+    grid = jacobi_grid(BLOCK_STATE, shape, symmetric_q=True)
+    _assert_blocking_keeps_the_bits(fn, grid, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED], ids=lambda m: m.value)
+def test_sampling_peak_memory_stays_near_the_matrix(mode):
+    fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_DD)
+    grid = mode_grid(BLOCK_STATE, mode, (2048, 1024))
+    discretize(fn, grid)  # node sets cached outside the measurement
+    # one wavefn call on the whole grid peaked at 6.06 x a.nbytes here
+    tracemalloc.start()
+    try:
+        a = discretize(fn, grid).a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * a.nbytes
 
 
 def test_grid_validation():
