@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kinematics import MassPartition
 
@@ -292,17 +291,19 @@ def find_resonances(
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
+    # lazy: only this needs scipy.optimize, most of the package's import time
+    from scipy.optimize import brentq
 
     a = model.scatterers[1][1]  # the layout is (-a, +a), checked by the model
     b = model.strength_scale
 
-    def h(q: float) -> float:
+    def h(q):
         return np.sin(2.0 * a * q) + (q / b) * np.cos(2.0 * a * q)
 
     # at least ~16 samples per oscillation period pi/(2a)
     n_scan = max(1024, int(np.ceil((hi - lo) * (2.0 * a / np.pi) * 16)) + 1)
     qs = np.linspace(lo, hi, n_scan)
-    hs = np.sin(2.0 * a * qs) + (qs / b) * np.cos(2.0 * a * qs)
+    hs = h(qs)
 
     roots = []
     for i in np.nonzero(np.sign(hs[:-1]) * np.sign(hs[1:]) < 0)[0]:

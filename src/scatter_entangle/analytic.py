@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-10
+_SCHULMAN_TOL = 1e-9
 
 
 def _check_widths(sigma1: float, sigma2: float) -> None:
@@ -57,21 +58,17 @@ def reflected_gaussian_purity(mp: MassPartition, sigma1: float, sigma2: float) -
     return reflected_gaussian_purity_mu_c(mp.mu1, sigma2 / sigma1)
 
 
-def schulman_satisfied(
-    mp: MassPartition, sigma1: float, sigma2: float, tol: float = 1e-9
-) -> bool:
-    """Whether m1/sigma1^2 == m2/sigma2^2 within relative tolerance ``tol``.
+def schulman_satisfied(mp: MassPartition, sigma1: float, sigma2: float) -> bool:
+    """Whether m1/sigma1^2 == m2/sigma2^2 within relative tolerance 1e-9.
 
     When it holds, reversing the relative momentum maps the product Gaussian
     onto (the parity image of) itself up to phases, so scattering generates
     no interparticle entanglement from the reflected branch.
     """
     _check_widths(sigma1, sigma2)
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
     lhs = mp.m1 / sigma1**2
     rhs = mp.m2 / sigma2**2
-    return abs(lhs - rhs) <= tol * 0.5 * (lhs + rhs)
+    return abs(lhs - rhs) <= _SCHULMAN_TOL * 0.5 * (lhs + rhs)
 
 
 def approx_C(T: float, R: float) -> float:

@@ -38,7 +38,9 @@ The out-state is handled as two single-mode computations (transmitted and
 reflected branches barely overlap for incoming states), recombined as
 w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref); a joint
 grid covering both lobes reproduces the same number and serves as the
-additivity cross-check.
+additivity cross-check. The overlap |<t|r>| that :func:`purity_out` reports
+samples both branch wave functions through :func:`discretize` on that joint
+grid, so it measures the very functions the two branch ladders integrate.
 """
 
 from __future__ import annotations
@@ -50,15 +52,12 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .kinematics import JacobiMomentum, PairMomentum
+from .kinematics import JacobiMomentum
 from .wavefunction import (
     GaussianInState,
     Mode,
     ModeWavefunction,
-    eval_amplitudes,
-    eval_in,
     eval_in_jacobi,
-    eval_reflected_in,
     mode_center,
     mode_covariance,
 )
@@ -167,14 +166,13 @@ def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, np.ndarray]:
 class WeightedAmplitudeMatrix:
     """Wave-function samples with quadrature weights folded in.
 
-    a[i, j] = sqrt(weights1[i] * weights2[j]) * phi(nodes1[i], nodes2[j]),
-    so that ||a||_F^2 approximates the squared norm of phi on the window.
+    a[i, j] = sqrt(w1_i * w2_j) * phi(nodes1[i], nodes2[j]), with w1 and w2
+    the quadrature weights of the two axes, so that ||a||_F^2 approximates
+    the squared norm of phi on the window.
     """
 
     nodes1: np.ndarray
     nodes2: np.ndarray
-    weights1: np.ndarray
-    weights2: np.ndarray
     a: np.ndarray
 
     @cached_property
@@ -249,7 +247,7 @@ def discretize(
             f"{n_bad} non-finite samples on {grid.n1}x{grid.n2} grid, "
             f"first at (p1, p2) = ({first_bad[0]:.6g}, {first_bad[1]:.6g})"
         )
-    return WeightedAmplitudeMatrix(nodes1=x1, nodes2=x2, weights1=w1, weights2=w2, a=a)
+    return WeightedAmplitudeMatrix(nodes1=x1, nodes2=x2, a=a)
 
 
 def purity_from_matrix(
@@ -311,6 +309,10 @@ def _schmidt_spectrum(wam: WeightedAmplitudeMatrix) -> np.ndarray:
     return lam / lam.sum()
 
 
+# leading Schmidt weights that PurityReport.as_dict writes out
+_SPECTRUM_HEAD = 128
+
+
 @dataclass(frozen=True)
 class PurityReport:
     """Result of an adaptive purity computation.
@@ -344,10 +346,10 @@ class PurityReport:
         if not 0.0 < self.purity <= 1.0 + 1e-9:
             raise ValueError(f"purity out of range (0, 1]: {self.purity}")
 
-    def as_dict(self, spectrum_head: int = 128) -> dict:
+    def as_dict(self) -> dict:
         err = self.refinement_error
         lam = self.schmidt_spectrum
-        head = None if lam is None else [float(v) for v in lam[:spectrum_head]]
+        head = None if lam is None else [float(v) for v in lam[:_SPECTRUM_HEAD]]
         d = {
             "purity": self.purity,
             "purity_tra": self.purity_tra,
@@ -365,9 +367,9 @@ class PurityReport:
             "refinements": [[int(n1), int(n2), p] for n1, n2, p in self.refinements],
         }
         if self.tra_report is not None:
-            d["tra"] = self.tra_report.as_dict(spectrum_head)
+            d["tra"] = self.tra_report.as_dict()
         if self.ref_report is not None:
-            d["ref"] = self.ref_report.as_dict(spectrum_head)
+            d["ref"] = self.ref_report.as_dict()
         return d
 
 
@@ -520,12 +522,13 @@ def purity_out(
 
     Each branch converges on its own window; branch purities recombine as
     w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. The overlap
-    |<transmitted|reflected>| is evaluated on a joint grid as a diagnostic of
-    the split's validity. A branch with exactly zero weight (hard core
-    transmission) contributes nothing and is marked absent via a None
-    sub-report. All settings are checked by :func:`check_ladder` first.
-    With ``spectrum`` false neither branch runs its final eigensolve and the
-    report's spectra are None.
+    |<transmitted|reflected>|, a diagnostic of the split's validity, samples
+    both branch wave functions through :func:`discretize` on the joint grid
+    of ``overlap_n`` nodes and takes their weighted inner product. A branch
+    with exactly zero weight (hard core transmission) contributes nothing and
+    is marked absent via a None sub-report. All settings are checked by
+    :func:`check_ladder` first. With ``spectrum`` false neither branch runs
+    its final eigensolve and the report's spectra are None.
     """
     check_ladder(rel_tol, base_n, n_cap, overlap_n)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
@@ -558,13 +561,7 @@ def purity_out(
         lam = np.sort(np.concatenate(parts))[::-1]
 
     jg = joint_grid(state, overlap_n, nsig)
-    x1, w1 = axis_nodes(jg.n1, jg.window1)
-    x2, w2 = axis_nodes(jg.n2, jg.window2)
-    pm = PairMomentum(x1[:, None], x2[None, :])
-    amp = eval_amplitudes(state, model, pm)  # shared by both branches
-    tv = amp.t * eval_in(state, pm)
-    rv = amp.r * eval_reflected_in(state, pm)
-    overlap = abs(np.sum(w1[:, None] * w2[None, :] * np.conj(tv) * rv))
+    overlap = abs(np.vdot(discretize(tra, jg).a, discretize(ref, jg).a))
 
     live = [r for r in (rep_t, rep_r) if r is not None]
     return PurityReport(

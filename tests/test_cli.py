@@ -11,6 +11,7 @@ import scatter_entangle
 from scatter_entangle import cli, purity
 from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.cli import run
+from scatter_entangle.kinematics import MassPartition
 
 
 def write_config(tmp_path, name, cfg):
@@ -438,3 +439,48 @@ def test_double_delta_alternate_parameterization(tmp_path):
         outs.append(json.loads(out.read_text())["report"]["purity"])
     # b = mu_red * alpha = 1.0 here, so a = 10 and a*b = 10 coincide
     assert outs[0] == pytest.approx(outs[1], rel=1e-12)
+
+
+def purity_payload(tmp_path, cfg_dict, *flags):
+    """The `purity` JSON for a config, without the config's own hash."""
+    cfg = write_config(tmp_path, "cfg.json", cfg_dict)
+    out = tmp_path / "cfg.out"
+    assert run(["purity", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    payload = json.loads(out.read_text())
+    del payload["config_sha256"]
+    return payload
+
+
+FAST_DELTA_CFG = dict(DELTA_PURITY_CFG, engine={"rel_tol": 1e-4, "base_n": 32, "n_cap": 128})
+
+
+def test_k_over_b_is_k_in_units_of_b(tmp_path):
+    by_ratio = json.loads(json.dumps(FAST_DELTA_CFG))
+    by_ratio["state"] = {"k_over_b": 0.8, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1}
+    by_k = json.loads(json.dumps(by_ratio))
+    b = AmplitudeModel.dirac_delta(6.25, MassPartition(0.2)).strength_scale
+    by_k["state"] = {"k": 0.8 * b, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1}
+    assert b != 1.0
+    assert purity_payload(tmp_path, by_ratio) == purity_payload(tmp_path, by_k)
+
+
+def test_individual_masses_match_mass_fraction_and_total(tmp_path):
+    by_masses = dict(FAST_DELTA_CFG, masses={"m1": 0.5, "m2": 2.0})
+    by_fraction = dict(FAST_DELTA_CFG, masses={"mu1": 0.2, "M": 2.5})
+    payload = purity_payload(tmp_path, by_masses)
+    assert payload["inputs"]["M"] == 2.5
+    assert payload == purity_payload(tmp_path, by_fraction)
+
+
+def test_rel_tol_flag_overrides_the_engine_setting(tmp_path):
+    payload = purity_payload(tmp_path, FAST_DELTA_CFG, "--rel-tol", "3e-3")
+    assert payload["engine"]["rel_tol"] == 3e-3
+
+
+def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys):
+    cfg_dict = dict(DELTA_PURITY_CFG, state={"k": 1.0, "sigma1": 1.0, "sigma2": 0.1})
+    cfg = write_config(tmp_path, "wide.json", cfg_dict)
+    assert run(["purity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: $.state: ")

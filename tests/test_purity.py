@@ -12,7 +12,7 @@ from scatter_entangle.analytic import (
     reflected_gaussian_purity,
     reflected_gaussian_purity_mu_c,
 )
-from scatter_entangle.kinematics import JacobiMomentum, MassPartition
+from scatter_entangle.kinematics import JacobiMomentum, MassPartition, PairMomentum
 from scatter_entangle.purity import (
     AxisWindow,
     GridSpec,
@@ -33,7 +33,10 @@ from scatter_entangle.wavefunction import (
     GaussianInState,
     Mode,
     ModeWavefunction,
+    eval_amplitudes,
+    eval_in,
     eval_in_jacobi,
+    eval_reflected_in,
 )
 
 
@@ -437,9 +440,51 @@ def test_hard_core_out_is_a_pure_reflection():
     rep = purity_out(st, AmplitudeModel.hard_core(st.masses), rel_tol=1e-8)
     assert rep.tra_report is None
     assert rep.purity_tra == 0.0
+    assert rep.overlap == 0.0
     assert rep.purity == pytest.approx(
         reflected_gaussian_purity(st.masses, st.sigma1, st.sigma2), abs=1e-6
     )
+
+
+def joint_grid_overlap(state, model, n):
+    """|<t|r>| as formed before it went through discretize: own nodes and Gaussians."""
+    jg = joint_grid(state, n)
+    x1, w1 = axis_nodes(jg.n1, jg.window1)
+    x2, w2 = axis_nodes(jg.n2, jg.window2)
+    pm = PairMomentum(x1[:, None], x2[None, :])
+    amp = eval_amplitudes(state, model, pm)
+    tv = amp.t * eval_in(state, pm)
+    rv = amp.r * eval_reflected_in(state, pm)
+    return abs(np.sum(w1[:, None] * w2[None, :] * np.conj(tv) * rv))
+
+
+OVERLAP_CASES = {
+    "delta": (make_state(mu1=0.2), AmplitudeModel.dirac_delta(6.25, MassPartition(0.2))),
+    "double_delta": (BLOCK_STATE, BLOCK_DD),  # criterion 10's w5 + 0.018
+}
+
+
+@pytest.mark.parametrize("case", OVERLAP_CASES)
+def test_overlap_matches_the_joint_grid_formula(case):
+    st, model = OVERLAP_CASES[case]
+    rep = purity_out(st, model, base_n=32, n_cap=32, spectrum=False)
+    ref = joint_grid_overlap(st, model, 256)
+    assert ref > 0.0
+    assert rep.overlap == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_overlap_peak_memory_stays_near_two_grids():
+    st, model = OVERLAP_CASES["delta"]
+    kw = dict(base_n=32, n_cap=32, overlap_n=1024, spectrum=False)
+    purity_out(st, model, **kw)  # node sets cached outside the measurement
+    # the joint-grid formula held about eight 1024^2 complex grids at its peak
+    tracemalloc.start()
+    try:
+        purity_out(st, model, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 1024**2
 
 
 def total_relative_purity(mu1, s1, s2):
