@@ -25,7 +25,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import IO, Optional, Sequence, Tuple
 
@@ -708,8 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one parser serves every run
+_parser = cache(build_parser)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate()
     try:

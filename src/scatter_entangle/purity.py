@@ -40,7 +40,9 @@ w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref); a joint
 grid covering both lobes reproduces the same number and serves as the
 additivity cross-check. The overlap |<t|r>| that :func:`purity_out` reports
 samples both branch wave functions through :func:`discretize` on that joint
-grid, so it measures the very functions the two branch ladders integrate.
+grid, so it measures the very functions the two branch ladders integrate;
+when one branch vanishes (the hard core transmits nothing) it is 0.0 without
+sampling.
 """
 
 from __future__ import annotations
@@ -526,7 +528,8 @@ def purity_out(
     both branch wave functions through :func:`discretize` on the joint grid
     of ``overlap_n`` nodes and takes their weighted inner product. A branch
     with exactly zero weight (hard core transmission) contributes nothing and
-    is marked absent via a None sub-report. All settings are checked by
+    is marked absent via a None sub-report; the overlap is then 0.0 exactly,
+    and no joint grid is sampled. All settings are checked by
     :func:`check_ladder` first. With ``spectrum`` false neither branch runs
     its final eigensolve and the report's spectra are None.
     """
@@ -560,8 +563,11 @@ def purity_out(
         parts = [w * r.schmidt_spectrum for w, r in ((w_t, rep_t), (w_r, rep_r)) if r is not None]
         lam = np.sort(np.concatenate(parts))[::-1]
 
-    jg = joint_grid(state, overlap_n, nsig)
-    overlap = abs(np.vdot(discretize(tra, jg).a, discretize(ref, jg).a))
+    if rep_t is None or rep_r is None:
+        overlap = 0.0  # an absent branch overlaps nothing; no grid is sampled
+    else:
+        jg = joint_grid(state, overlap_n, nsig)
+        overlap = abs(np.vdot(discretize(tra, jg).a, discretize(ref, jg).a))
 
     live = [r for r in (rep_t, rep_r) if r is not None]
     return PurityReport(

@@ -484,3 +484,18 @@ def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: $.state: ")
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, "pur.json", DELTA_PURITY_CFG)
+    argv = ["purity", "--config", str(cfg)]
+    with pytest.raises(SystemExit) as usage:
+        run(["purity"])  # no --config
+    assert usage.value.code == 2
+    assert "required: --config" in capsys.readouterr().err
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == cli.build_parser().format_help()

@@ -446,6 +446,41 @@ def test_hard_core_out_is_a_pure_reflection():
     )
 
 
+def _count_discretize(monkeypatch):
+    grids = []
+
+    def counting(wavefn, grid):
+        grids.append(grid)
+        return discretize(wavefn, grid)
+
+    monkeypatch.setattr(purity_module, "discretize", counting)
+    return grids
+
+
+def test_vanished_branch_skips_the_overlap_sampling(monkeypatch):
+    st = make_state(mu1=0.3, s1=0.06, s2=0.102)
+    grids = _count_discretize(monkeypatch)
+    rep = purity_out(st, AmplitudeModel.hard_core(st.masses), rel_tol=1e-8)
+    assert rep.tra_report is None
+    assert rep.overlap == 0.0
+    # the transmitted base level, where t = 0 ends the branch, then one call
+    # per reflected level; never the joint grid of the overlap
+    levels = rep.ref_report.refinements
+    assert len(grids) == 1 + len(levels)
+    assert grids[0] == mode_grid(st, Mode.TRANSMITTED, 64)
+    assert [(g.n1, g.n2) for g in grids[1:]] == [(n1, n2) for n1, n2, _ in levels]
+    assert joint_grid(st) not in grids
+
+
+def test_two_live_branches_sample_the_joint_grid_twice(monkeypatch):
+    st, model = OVERLAP_CASES["delta"]
+    grids = _count_discretize(monkeypatch)
+    rep = purity_out(st, model, base_n=32, n_cap=32, spectrum=False)
+    assert rep.overlap > 0.0
+    assert grids[-2:] == [joint_grid(st)] * 2
+    assert len(grids) == 4
+
+
 def joint_grid_overlap(state, model, n):
     """|<t|r>| as formed before it went through discretize: own nodes and Gaussians."""
     jg = joint_grid(state, n)

@@ -20,6 +20,7 @@ from scatter_entangle.wavefunction import (
     eval_in,
     eval_in_jacobi,
     eval_reflected_in,
+    _eval_reflected_in_on_grid,
     mode_center,
     mode_covariance,
 )
@@ -264,3 +265,54 @@ def test_transmitted_branch_on_a_tensor_grid_matches_pointwise_evaluation():
     full = PairMomentum(*np.broadcast_arrays(pm.p1, pm.p2))
     tensor, pointwise = tra(*pm), tra(*full)
     assert np.max(np.abs(tensor - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+
+
+def _light_corner(mu1, s1, s2, k_over_b):
+    """A corner state of the light_points benchmark box; k = 1 for the hard core."""
+    mp = MassPartition(mu1)
+    k = 1.0 if k_over_b is None else k_over_b * AmplitudeModel.dirac_delta(1.0, mp).strength_scale
+    return GaussianInState(k=k, sigma1=s1 * k, sigma2=s2 * k, masses=mp)
+
+
+def _criterion_10_w5_state():
+    k = find_resonances(CRITERION_10_MODEL, (0.01, 1.0), 1)[0] + 0.018
+    return GaussianInState(k=k, sigma1=k / 5, sigma2=k / 10, masses=HEAVY2)
+
+
+REFLECTED_GRID_STATES = {
+    **{
+        f"corner-mu{mu1}-s{s1}-{s2}-kb{kb}": (_light_corner, (mu1, s1, s2, kb))
+        for mu1 in (0.1, 0.9)
+        for s1, s2 in ((0.3, 0.05), (0.05, 0.3))
+        for kb in (None, 0.3, 3.0)
+    },
+    "criterion-10-w5": (_criterion_10_w5_state, ()),
+    "equal-masses": (make_state, (0.5, 1.0, 0.1, 0.2)),
+    # positions of order 1/k: the phase a1 p1' + a2 p2' stays below 1.5 rad on
+    # the window; the two forms round it differently, by about eps times the
+    # phase, so far larger positions would need a wider tolerance
+    "positions": (make_state, (0.3, 1.0, 0.1, 0.2, 0.4, -0.3)),
+}
+
+
+@pytest.mark.parametrize("case", REFLECTED_GRID_STATES)
+def test_reflected_in_on_a_tensor_grid_matches_pointwise_evaluation(case):
+    make, args = REFLECTED_GRID_STATES[case]
+    st = make(*args)
+    grid = mode_grid(st, Mode.REFLECTED, (256, 128))
+    p1 = axis_nodes(grid.n1, grid.window1)[0][:, None]
+    p2 = axis_nodes(grid.n2, grid.window2)[0][None, :]
+    full = PairMomentum(*np.broadcast_arrays(p1, p2))
+    tensor = _eval_reflected_in_on_grid(st, PairMomentum(p1, p2))
+    pointwise = eval_reflected_in(st, full)
+    assert np.all(np.isfinite(tensor))
+    # a sample that underflows pointwise is an exact zero here as well; six of
+    # the corners underflow at the window edges, through subnormal samples
+    zero = pointwise == 0.0
+    np.testing.assert_array_equal(tensor == 0.0, zero)
+    np.testing.assert_allclose(tensor[~zero], pointwise[~zero], rtol=1e-15, atol=0.0)
+    # the reflected in-mode takes this route on tensor grids
+    mode = ModeWavefunction(Mode.REFLECTED_IN, st)
+    assert np.array_equal(mode(p1, p2), tensor)
+    # and falls back to the pointwise form elsewhere
+    assert np.array_equal(_eval_reflected_in_on_grid(st, full), pointwise)
