@@ -27,7 +27,14 @@ and the peak memory of sampling is little more than A itself. Wave
 functions must therefore be pointwise: each sample depends only on its own
 (p1, p2). Blocks keep at least 2 rows and, on a grid of more than one
 block, at least 2^15 nodes; with both rules the samples are bitwise those
-of one call on the whole grid (see :func:`discretize`).
+of one call on the whole grid (see :func:`discretize`). Samples whose
+real or imaginary part lies below 2^-511 in magnitude are stored as zeros,
+so that no product of two samples in the Gram matrix is subnormal:
+subnormal arithmetic takes a slow path in the CPU, and tilted reflected
+windows, whose corners lie hundreds of e-folds down the Gaussian tail,
+held enough such samples to double the time of a 512^2 Gram matrix.
+A real A, as the hard core's reflected branch samples, gets its Gram matrix
+and spectrum in real arithmetic.
 
 Windows are centered on each mode and wide enough (default +-8 sigma per
 axis) that the truncated tails are far below the refinement tolerance. Grids
@@ -179,8 +186,15 @@ class WeightedAmplitudeMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The smaller Gram matrix, A^H A or A A^H; formed once per matrix."""
+        """The smaller Gram matrix, A^H A or A A^H; formed once per matrix.
+
+        Real if A is: real samples (a real amplitude times a real Gaussian)
+        need a quarter of the flops of a complex product.
+        """
         a = self.a
+        if not a.imag.any():
+            a = a.real.copy()
+            return a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
         return a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
 
     @property
@@ -195,6 +209,13 @@ class WeightedAmplitudeMatrix:
 # sampled the reference sweep's 512^2 and 1024^2 double-delta branches
 # faster than 2^16 or 2^17.
 _BLOCK_NODES = 1 << 15
+
+# Parts of samples below this magnitude are stored as zeros. At 2^-511, the
+# square root of the smallest normal double, no product of two stored parts
+# is subnormal. The package's wave functions are normalized, so their
+# weighted samples peak far above it; a matrix that peaks below 2^-256
+# would already lose ||G||_F^2 to underflow.
+_FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 def discretize(
@@ -218,6 +239,10 @@ def discretize(
       complex product, which moves last bits. Node counts are powers of two,
       so a grid of more than one block splits into equal blocks of
       max(2, 2^15 / n2) rows, at least 2^15 nodes each.
+
+    Weighted samples whose real or imaginary part lies below 2^-511 in
+    magnitude have that part set to zero (``_FLUSH_BELOW``), so that the
+    Gram matrix is formed without subnormal arithmetic.
 
     Aborts with diagnostics if any sample is non-finite, giving the whole
     grid's count and the first bad node; purity downstream would silently
@@ -244,6 +269,8 @@ def discretize(
                 i, j = np.argwhere(bad)[0]
                 first_bad = x1[r0 + i], x2[j]
         np.multiply(sw1[blk] * sw2, vals, out=out)
+        parts = out.view(float)  # real and imaginary parts, interleaved
+        parts *= np.abs(parts) >= _FLUSH_BELOW
     if n_bad:
         raise FloatingPointError(
             f"{n_bad} non-finite samples on {grid.n1}x{grid.n2} grid, "

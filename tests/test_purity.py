@@ -146,12 +146,16 @@ def test_non_finite_samples_abort_with_location():
     )
 
 
-def one_call_samples(wavefn, grid):
-    """The whole grid sampled in one call and weighted, the reference for blocking."""
+def one_call_samples(wavefn, grid, flush=True):
+    """The whole grid sampled in one call, weighted and flushed, the reference for blocking."""
     x1, w1 = axis_nodes(grid.n1, grid.window1)
     x2, w2 = axis_nodes(grid.n2, grid.window2)
     vals = np.asarray(wavefn(x1[:, None], x2[None, :]), dtype=complex)
-    return np.multiply(np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :], vals, out=vals)
+    a = np.multiply(np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :], vals, out=vals)
+    if flush:
+        parts = a.view(float)
+        parts *= np.abs(parts) >= 2.0**-511
+    return a
 
 
 def _cheap_leggauss(n):
@@ -206,6 +210,49 @@ def test_blocked_sampling_equals_one_call_bitwise_in_jacobi_coordinates(shape, m
     fn = lambda P, Q: eval_in_jacobi(out, JacobiMomentum(P, Q))
     grid = jacobi_grid(BLOCK_STATE, shape, symmetric_q=True)
     _assert_blocking_keeps_the_bits(fn, grid, monkeypatch)
+
+
+# The deepest hard-core corner of the light CLI calls: its reflected window
+# is tilted so far that the window's corners lie hundreds of e-folds down
+# the Gaussian tail, and its samples are real (r = -1, no position offsets).
+TILTED = GaussianInState(k=1.0, sigma1=0.05, sigma2=0.3, masses=MassPartition(0.9))
+TILTED_HC = ModeWavefunction(Mode.REFLECTED, TILTED, AmplitudeModel.hard_core(TILTED.masses))
+
+
+def test_parts_below_2_to_the_minus_511_are_stored_as_zeros():
+    grid = mode_grid(TILTED, Mode.REFLECTED, 512)
+    raw = one_call_samples(TILTED_HC, grid, flush=False)
+    wam = discretize(TILTED_HC, grid)
+    a, r = wam.a.view(float), raw.view(float)
+    tiny = np.abs(r) < 2.0**-511
+    assert np.count_nonzero(tiny & (r != 0.0)) > 0.01 * r.size
+    assert np.all(a[tiny] == 0.0)
+    assert np.array_equal(a[~tiny].view(np.uint64), r[~tiny].view(np.uint64))
+    # what the flush drops lies far below the last bit of the purity
+    unflushed = purity_module.WeightedAmplitudeMatrix(wam.nodes1, wam.nodes2, raw)
+    assert purity_from_matrix(wam, False)[0] == pytest.approx(
+        purity_from_matrix(unflushed, False)[0], rel=1e-15
+    )
+
+
+def test_blocked_sampling_keeps_the_bits_where_parts_are_flushed(monkeypatch):
+    _assert_blocking_keeps_the_bits(TILTED_HC, mode_grid(TILTED, Mode.REFLECTED, 512), monkeypatch)
+
+
+def test_real_samples_take_a_real_gram_matrix():
+    wam = discretize(TILTED_HC, mode_grid(TILTED, Mode.REFLECTED, 256))
+    assert not wam.a.imag.any()
+    assert wam.gram.dtype == np.float64
+    g = wam.a.conj().T @ wam.a
+    np.testing.assert_allclose(wam.gram, g.real, rtol=0, atol=1e-15 * np.abs(g).max())
+    purity, lam = purity_from_matrix(wam)
+    assert purity == pytest.approx(np.sum(np.abs(g) ** 2) / np.trace(g).real ** 2, rel=1e-15)
+    dense = np.clip(np.linalg.eigvalsh(g)[::-1], 0.0, None)
+    np.testing.assert_allclose(lam, dense / dense.sum(), rtol=0, atol=1e-14)
+
+    delta = AmplitudeModel.dirac_delta(1.0, TILTED.masses)
+    complex_fn = ModeWavefunction(Mode.REFLECTED, TILTED, delta)
+    assert discretize(complex_fn, mode_grid(TILTED, Mode.REFLECTED, 64)).gram.dtype == complex
 
 
 @pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED], ids=lambda m: m.value)
