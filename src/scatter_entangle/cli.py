@@ -59,8 +59,6 @@ EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_UNCONVERGED = 3
 
-_PROB_ABORT_TOL = 1e-10
-
 
 class ConfigError(Exception):
     """Configuration rejected; message carries the offending path."""
@@ -111,8 +109,6 @@ _ENGINE = {
         "rel_tol": {"type": "number", "minimum": 1e-10, "maximum": 0.1},
         "base_n": _N_OR_PAIR,
         "n_cap": _N_OR_PAIR,
-        "nsig": {"type": "number", "minimum": 4, "maximum": 16},
-        "overlap_n": {"type": "integer", "minimum": 32, "maximum": 4096},
     },
     "additionalProperties": False,
 }
@@ -373,9 +369,7 @@ def _state_from(
         raise ConfigError(f"$.state: {exc}") from exc
 
 
-_ENGINE_DEFAULTS = {
-    "rel_tol": 1e-6, "base_n": 64, "n_cap": 1024, "nsig": 8.0, "overlap_n": 256,
-}
+_ENGINE_DEFAULTS = {"rel_tol": 1e-6, "base_n": 64, "n_cap": 1024}
 
 
 def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
@@ -386,7 +380,7 @@ def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
             raise ConfigError(f"--rel-tol out of range [1e-10, 0.1]: {rel_tol_override}")
         eng["rel_tol"] = rel_tol_override
     try:
-        check_ladder(eng["rel_tol"], eng["base_n"], eng["n_cap"], eng["overlap_n"])
+        check_ladder(**eng)
     except ValueError as exc:
         raise ConfigError(f"$.engine: {exc}") from exc
     return eng
@@ -473,17 +467,14 @@ def _approximations(model: AmplitudeModel, state: GaussianInState) -> dict:
     """Constant-amplitude estimates at k. Aborts the run if |t|^2 + |r|^2 != 1:
     every amplitude the engine uses comes from the same model."""
     t_k, r_k = model.amplitudes(state.k)
-    T = abs(t_k) ** 2
-    R = abs(r_k) ** 2
-    if abs(T + R - 1.0) > _PROB_ABORT_TOL:
-        raise ConsistencyAbort(
-            f"unitarity violated at k = {state.k!r}: T + R - 1 = {T + R - 1.0:.3e}"
-        )
     pbar = reflected_gaussian_purity(state.masses, state.sigma1, state.sigma2)
-    approx = ApproximationInput(T, R, pbar)
+    try:
+        approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
+    except ValueError as exc:
+        raise ConsistencyAbort(f"unitarity violated at k = {state.k!r}: {exc}") from exc
     return {
-        "T": T,
-        "R": R,
+        "T": approx.T,
+        "R": approx.R,
         "reflected_purity": pbar,
         "purity_C": approx.purity_C(),
         "purity_CR": approx.purity_CR(),
@@ -502,7 +493,7 @@ def cmd_purity(
     if model is None:
         report = purity_adaptive(
             ModeWavefunction(Mode.IN, state),
-            mode_grid(state, Mode.IN, eng["base_n"], eng["nsig"]),
+            mode_grid(state, Mode.IN, eng["base_n"]),
             rel_tol=eng["rel_tol"],
             n_cap=eng["n_cap"],
         )

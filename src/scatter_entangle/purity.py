@@ -36,10 +36,11 @@ held enough such samples to double the time of a 512^2 Gram matrix.
 A real A, as the hard core's reflected branch samples, gets its Gram matrix
 and spectrum in real arithmetic.
 
-Windows are centered on each mode and wide enough (default +-8 sigma per
-axis) that the truncated tails are far below the refinement tolerance. Grids
-refine by doubling both axes until successive purities agree to rel_tol;
-hitting the node cap without convergence is reported, never silent.
+Windows are centered on each mode and span a fixed +-8 sigma per axis, so
+that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
+tightest refinement tolerance, 1e-10. Grids refine by doubling both axes
+until successive purities agree to rel_tol; hitting the node cap without
+convergence is reported, never silent.
 
 The out-state is handled as two single-mode computations (transmitted and
 reflected branches barely overlap for incoming states), recombined as
@@ -47,9 +48,9 @@ w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref); a joint
 grid covering both lobes reproduces the same number and serves as the
 additivity cross-check. The overlap |<t|r>| that :func:`purity_out` reports
 samples both branch wave functions through :func:`discretize` on that joint
-grid, so it measures the very functions the two branch ladders integrate;
-when one branch vanishes (the hard core transmits nothing) it is 0.0 without
-sampling.
+grid, at a fixed 256 nodes per axis, so it measures the very functions the
+two branch ladders integrate; when one branch vanishes (the hard core
+transmits nothing) it is 0.0 without sampling.
 """
 
 from __future__ import annotations
@@ -408,26 +409,21 @@ def _as_pair(n: NPair) -> Tuple[int, int]:
     return int(n), int(n)
 
 
-def check_ladder(
-    rel_tol: float, base_n: NPair, n_cap: NPair, overlap_n: NPair = 256
-) -> None:
-    """Reject engine settings that the refinement ladder or purity_out cannot run.
+def check_ladder(rel_tol: float, base_n: NPair, n_cap: NPair) -> None:
+    """Reject engine settings that the refinement ladder cannot run.
 
     rel_tol below 1e-10 is unreachable (roundoff floor of the quadrature
-    purity). Per axis, the starting node count, its cap and the overlap
-    diagnostic's node count must be powers of two >= 32, and the cap must
-    not lie below the start. Messages name the setting and the axis.
+    purity). Per axis, the starting node count and its cap must be powers
+    of two >= 32, and the cap must not lie below the start. Messages name
+    the setting and the axis.
     """
     if rel_tol < 1e-10:
         raise ValueError(f"rel_tol below 1e-10 is unreachable, got {rel_tol}")
-    for axis, n0, cap, n_ov in zip(
-        ("n1", "n2"), _as_pair(base_n), _as_pair(n_cap), _as_pair(overlap_n)
-    ):
+    for axis, n0, cap in zip(("n1", "n2"), _as_pair(base_n), _as_pair(n_cap)):
         _check_n(n0, f"base_n for {axis}")
         _check_n(cap, f"n_cap for {axis}")
         if cap < n0:
             raise ValueError(f"n_cap for {axis} = {cap} below base_n = {n0}")
-        _check_n(n_ov, f"overlap_n for {axis}")
 
 
 def purity_adaptive(
@@ -484,29 +480,32 @@ def purity_adaptive(
     )
 
 
-def window_for_mode(
-    state: GaussianInState, mode: Mode, nsig: float = 8.0
-) -> Tuple[AxisWindow, AxisWindow]:
-    """Axis-aligned bounding box of the mode's +-nsig covariance ellipse."""
+# Window half-width in standard deviations of |phi|^2 along each axis. The
+# tail of a Gaussian marginal past 8 sigma is erfc(8 / sqrt(2)) = 1.2e-15,
+# far below the smallest rel_tol a ladder accepts (1e-10), so no tolerance
+# can be met on a truncated window.
+_NSIG = 8.0
+
+
+def window_for_mode(state: GaussianInState, mode: Mode) -> Tuple[AxisWindow, AxisWindow]:
+    """Axis-aligned bounding box of the mode's +-8 sigma covariance ellipse."""
     center = mode_center(state, mode)
     cov = mode_covariance(state, mode)
-    hw = nsig * np.sqrt(np.diag(cov))
+    hw = _NSIG * np.sqrt(np.diag(cov))
     return AxisWindow(center[0], float(hw[0])), AxisWindow(center[1], float(hw[1]))
 
 
-def mode_grid(
-    state: GaussianInState, mode: Mode, n: NPair = 64, nsig: float = 8.0
-) -> GridSpec:
+def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
     n1, n2 = _as_pair(n)
-    w1, w2 = window_for_mode(state, mode, nsig)
+    w1, w2 = window_for_mode(state, mode)
     return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
 
 
-def joint_grid(state: GaussianInState, n: NPair = 256, nsig: float = 8.0) -> GridSpec:
+def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
     """Single grid whose windows cover both the in and reflected lobes."""
     n1, n2 = _as_pair(n)
-    win_in = window_for_mode(state, Mode.IN, nsig)
-    win_rf = window_for_mode(state, Mode.REFLECTED_IN, nsig)
+    win_in = window_for_mode(state, Mode.IN)
+    win_rf = window_for_mode(state, Mode.REFLECTED_IN)
     windows = []
     for wi, wr in zip(win_in, win_rf):
         lo = min(wi.center - wi.halfwidth, wr.center - wr.halfwidth)
@@ -515,25 +514,20 @@ def joint_grid(state: GaussianInState, n: NPair = 256, nsig: float = 8.0) -> Gri
     return GridSpec(n1=n1, n2=n2, window1=windows[0], window2=windows[1])
 
 
-def jacobi_grid(
-    state: GaussianInState,
-    n: NPair = 64,
-    nsig: float = 8.0,
-    symmetric_q: bool = False,
-) -> GridSpec:
+def jacobi_grid(state: GaussianInState, n: NPair = 64, symmetric_q: bool = False) -> GridSpec:
     """Grid in (total, relative) momenta for the same state.
 
-    ``symmetric_q`` widens the q window to [-(k + nsig*sigma_q), +...] so a
+    ``symmetric_q`` widens the q window to [-(k + 8 sigma_q), +...] so a
     grid can hold both the incident lobe at +k and its reflection at -k.
     """
     n1, n2 = _as_pair(n)
     sp = float(np.hypot(state.sigma1, state.sigma2))
     sq = state.sigma_q
-    p_win = AxisWindow(0.0, nsig * sp)
+    p_win = AxisWindow(0.0, _NSIG * sp)
     if symmetric_q:
-        q_win = AxisWindow(0.0, state.k + nsig * sq)
+        q_win = AxisWindow(0.0, state.k + _NSIG * sq)
     else:
-        q_win = AxisWindow(state.k, nsig * sq)
+        q_win = AxisWindow(state.k, _NSIG * sq)
     return GridSpec(n1=n1, n2=n2, window1=p_win, window2=q_win)
 
 
@@ -543,8 +537,6 @@ def purity_out(
     rel_tol: float = 1e-6,
     base_n: NPair = 64,
     n_cap: NPair = 1024,
-    nsig: float = 8.0,
-    overlap_n: NPair = 256,
     spectrum: bool = True,
 ) -> PurityReport:
     """Purity of the full out-state via the two-branch mode split.
@@ -552,15 +544,16 @@ def purity_out(
     Each branch converges on its own window; branch purities recombine as
     w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. The overlap
     |<transmitted|reflected>|, a diagnostic of the split's validity, samples
-    both branch wave functions through :func:`discretize` on the joint grid
-    of ``overlap_n`` nodes and takes their weighted inner product. A branch
-    with exactly zero weight (hard core transmission) contributes nothing and
-    is marked absent via a None sub-report; the overlap is then 0.0 exactly,
-    and no joint grid is sampled. All settings are checked by
-    :func:`check_ladder` first. With ``spectrum`` false neither branch runs
-    its final eigensolve and the report's spectra are None.
+    both branch wave functions through :func:`discretize` on the
+    :func:`joint_grid` of 256 x 256 nodes over +-8 sigma windows and takes
+    their weighted inner product. A branch with exactly zero weight (hard
+    core transmission) contributes nothing and is marked absent via a None
+    sub-report; the overlap is then 0.0 exactly, and no joint grid is
+    sampled. All settings are checked by :func:`check_ladder` first. With
+    ``spectrum`` false neither branch runs its final eigensolve and the
+    report's spectra are None.
     """
-    check_ladder(rel_tol, base_n, n_cap, overlap_n)
+    check_ladder(rel_tol, base_n, n_cap)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
     ref = ModeWavefunction(Mode.REFLECTED, state, model)
 
@@ -568,7 +561,7 @@ def purity_out(
     for name, mode_fn, mode in (("tra", tra, Mode.TRANSMITTED), ("ref", ref, Mode.REFLECTED)):
         try:
             reports[name] = purity_adaptive(
-                mode_fn, mode_grid(state, mode, base_n, nsig), rel_tol, n_cap, spectrum
+                mode_fn, mode_grid(state, mode, base_n), rel_tol, n_cap, spectrum
             )
         except ZeroWavefunctionError:
             reports[name] = None
@@ -593,7 +586,7 @@ def purity_out(
     if rep_t is None or rep_r is None:
         overlap = 0.0  # an absent branch overlaps nothing; no grid is sampled
     else:
-        jg = joint_grid(state, overlap_n, nsig)
+        jg = joint_grid(state)
         overlap = abs(np.vdot(discretize(tra, jg).a, discretize(ref, jg).a))
 
     live = [r for r in (rep_t, rep_r) if r is not None]
@@ -623,7 +616,6 @@ def purity_pq_adaptive(
     rel_tol: float = 1e-6,
     base_n: NPair = 64,
     n_cap: NPair = 1024,
-    nsig: float = 8.0,
 ) -> PurityReport:
     """(total, relative)-momentum purity, refined adaptively on automatic windows.
 
@@ -637,7 +629,7 @@ def purity_pq_adaptive(
         obj = state
     else:
         obj = ModeWavefunction(Mode.OUT, state, model)
-    grid = jacobi_grid(state, base_n, nsig, symmetric_q=model is not None)
+    grid = jacobi_grid(state, base_n, symmetric_q=model is not None)
     return purity_adaptive(
         lambda P, Q: eval_in_jacobi(obj, JacobiMomentum(P, Q)), grid, rel_tol, n_cap
     )

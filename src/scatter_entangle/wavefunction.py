@@ -280,9 +280,7 @@ def eval_in_jacobi(
     t(|q|) phi~(p, q) + r(|q|) phi~(p, -q), since reflecting the pair momenta
     of (p, q) lands exactly on (p, -q).
     """
-    if isinstance(obj, GaussianInState):
-        return eval_in(obj, jacobi_to_pair(jm, obj.masses))
-    return eval_mode(obj, jacobi_to_pair(jm, obj.masses))
+    return obj(*jacobi_to_pair(jm, obj.masses))
 
 
 def mode_center(state: GaussianInState, mode: Mode) -> np.ndarray:

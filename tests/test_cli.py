@@ -178,7 +178,7 @@ DOUBLE_DELTA = {"kind": "double_delta", "alpha": 6.25, "half_separation_times_st
 
 def test_sweep_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
     # no sweep column reads the Schmidt spectrum, so a sweep must not pay for it
-    engine = {"rel_tol": 1e-4, "base_n": 32, "n_cap": 128, "overlap_n": 64}
+    engine = {"rel_tol": 1e-4, "base_n": 32, "n_cap": 128}
     sweep_cfg = write_config(
         tmp_path,
         "sweep.json",
@@ -295,6 +295,20 @@ def test_sweep_strict_exit_code(tmp_path):
     assert run(["sweep", "--config", str(cfg), "--out", str(out), "--strict"]) == 3
 
 
+def test_sweep_records_a_rejected_state_in_its_row(tmp_path, capsys):
+    # the smallest subnormal k passes the schema, but its widths underflow to 0
+    cfg_dict = dict(SWEEP_CFG, k_axis={"start": 5e-324, "stop": 5e-324, "num": 1})
+    cfg = write_config(tmp_path, "tiny.json", cfg_dict)
+    out = tmp_path / "tiny.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    # the error field is written unquoted, so the row is checked as text
+    row = out.read_text().splitlines()[-1]
+    assert row.startswith("4.9406564584124654e-324,0.20000000000000001,nan,")
+    assert row.endswith(",0,nan,false,ValueError: momentum widths must be positive, got (0.0, 0.0)")
+    assert run(["sweep", "--config", str(cfg), "--out", str(out), "--strict"]) == 3
+    assert "strict: 1 of 1 sweep points unconverged or failed" in capsys.readouterr().err
+
+
 def test_reflectmap_equal_mass_row_is_unity(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -330,6 +344,7 @@ def test_validate_passes(capsys):
         lambda d: d.update(engine={"n_cap": [1024, 96]}),
         lambda d: d.update(engine={"base_n": [64, 128], "n_cap": [1024, 64]}),
         lambda d: d.update(engine={"overlap_n": 48}),
+        lambda d: d.update(engine={"nsig": 8.0}),  # the windows are fixed at +-8 sigma
     ],
 )
 def test_bad_purity_configs_exit_2(tmp_path, capsys, mangle):
@@ -393,6 +408,10 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     broken.write_text("{not json")
     assert run(["purity", "--config", str(broken)]) == 2
     capsys.readouterr()
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    assert run(["purity", "--config", str(not_an_object)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
 def test_unit_without_strength_scale_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from scatter_entangle import purity as purity_module
-from scatter_entangle.amplitudes import AmplitudeModel, find_resonances
+from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair, find_resonances
 from scatter_entangle.analytic import (
     reflected_gaussian_purity,
     reflected_gaussian_purity_mu_c,
@@ -16,6 +16,7 @@ from scatter_entangle.kinematics import JacobiMomentum, MassPartition, PairMomen
 from scatter_entangle.purity import (
     AxisWindow,
     GridSpec,
+    PurityReport,
     ZeroWavefunctionError,
     check_ladder,
     _leggauss,
@@ -124,6 +125,18 @@ def test_zero_wavefunction_is_rejected():
     wam = discretize(fn, square_grid(32, 1.0))
     with pytest.raises(ZeroWavefunctionError):
         purity_from_matrix(wam)
+
+
+def test_wrong_sample_shape_is_rejected():
+    fn = lambda P1, P2: np.ones(np.broadcast(P1, P2).shape[0])  # one value per row
+    with pytest.raises(ValueError, match=r"returned shape \(32,\), expected \(32, 32\)"):
+        discretize(fn, square_grid(32, 1.0))
+
+
+@pytest.mark.parametrize("purity", [0.0, -0.5, 1.5, float("nan")])
+def test_purity_report_rejects_purity_outside_unit_interval(purity):
+    with pytest.raises(ValueError, match="purity out of range"):
+        PurityReport(purity, None, (32, 32), float("nan"), False, 1.0, ())
 
 
 def test_non_finite_samples_abort_with_location():
@@ -288,11 +301,6 @@ def test_grid_validation():
         check_ladder(1e-6, 64, [1024, 96])
     with pytest.raises(ValueError, match="n_cap for n2 = 64 below base_n = 128"):
         check_ladder(1e-6, [64, 128], (1024, 64))
-    with pytest.raises(ValueError, match="overlap_n for n1 must be a power of two"):
-        check_ladder(1e-6, 64, 1024, 48)
-    model = AmplitudeModel.dirac_delta(1.0, st.masses)
-    with pytest.raises(ValueError, match="overlap_n for n1 must be a power of two"):
-        purity_out(st, model, overlap_n=48)
 
 
 def _raise_on_constant(name):
@@ -330,7 +338,7 @@ def assert_same_but_spectrum(with_spec, without):
 def test_purity_out_without_spectrum_changes_nothing_else():
     st = make_state(mu1=0.2)
     model = AmplitudeModel.double_dirac_delta(6.25, 2.0, st.masses)
-    kw = dict(rel_tol=1e-6, base_n=32, n_cap=256, overlap_n=64)
+    kw = dict(rel_tol=1e-6, base_n=32, n_cap=256)
     with_spec = purity_out(st, model, **kw)
     without = purity_out(st, model, **kw, spectrum=False)
     assert len(with_spec.refinements) > 2
@@ -450,8 +458,14 @@ def test_window_truncation_matches_gaussian_tail():
     # halving an +-8 sigma window to +-4 sigma cuts erfc-sized corners: the
     # captured norm drops by 1 - erf(4/sqrt(2))^2 ~ 1.3e-4 for a product state
     st = make_state(mu1=0.5, s1=0.1, s2=0.1)
-    n8 = discretize(st, mode_grid(st, Mode.IN, 512, nsig=8.0)).norm_sq
-    n4 = discretize(st, mode_grid(st, Mode.IN, 512, nsig=4.0)).norm_sq
+    g8 = mode_grid(st, Mode.IN, 512)
+    g4 = GridSpec(
+        512,
+        512,
+        *(AxisWindow(w.center, w.halfwidth / 2) for w in (g8.window1, g8.window2)),
+    )
+    n8 = discretize(st, g8).norm_sq
+    n4 = discretize(st, g4).norm_sq
     expected_drop = 1.0 - erf(4.0 / math.sqrt(2.0)) ** 2
     assert n8 == pytest.approx(1.0, abs=1e-9)
     assert (n8 - n4) == pytest.approx(expected_drop, rel=0.02)
@@ -519,6 +533,17 @@ def test_vanished_branch_skips_the_overlap_sampling(monkeypatch):
     assert joint_grid(st) not in grids
 
 
+def test_both_branches_vanishing_is_an_error(monkeypatch):
+    def zero(self, q, phase=None):
+        z = np.zeros(np.shape(q), dtype=complex)
+        return AmplitudePair(z, z.copy())
+
+    monkeypatch.setattr(AmplitudeModel, "amplitudes", zero)
+    st, model = OVERLAP_CASES["delta"]
+    with pytest.raises(ZeroWavefunctionError, match="^both scattering branches vanish$"):
+        purity_out(st, model, base_n=32, n_cap=32)
+
+
 def test_two_live_branches_sample_the_joint_grid_twice(monkeypatch):
     st, model = OVERLAP_CASES["delta"]
     grids = _count_discretize(monkeypatch)
@@ -555,9 +580,10 @@ def test_overlap_matches_the_joint_grid_formula(case):
     assert rep.overlap == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
-def test_overlap_peak_memory_stays_near_two_grids():
+def test_overlap_peak_memory_stays_near_two_grids(monkeypatch):
     st, model = OVERLAP_CASES["delta"]
-    kw = dict(base_n=32, n_cap=32, overlap_n=1024, spectrum=False)
+    monkeypatch.setattr(purity_module, "joint_grid", lambda state: joint_grid(state, 1024))
+    kw = dict(base_n=32, n_cap=32, spectrum=False)
     purity_out(st, model, **kw)  # node sets cached outside the measurement
     # the joint-grid formula held about eight 1024^2 complex grids at its peak
     tracemalloc.start()
