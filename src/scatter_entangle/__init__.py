@@ -32,9 +32,6 @@ from .wavefunction import (
     IncomingnessWarning,
     Mode,
     ModeWavefunction,
-    eval_in,
-    eval_in_jacobi,
-    eval_mode,
     eval_reflected_in,
 )
 from .purity import (
@@ -44,7 +41,6 @@ from .purity import (
     WeightedAmplitudeMatrix,
     ZeroWavefunctionError,
     discretize,
-    jacobi_grid,
     joint_grid,
     mode_grid,
     purity_adaptive,
@@ -86,10 +82,7 @@ __all__ = [
     "IncomingnessWarning",
     "Mode",
     "ModeWavefunction",
-    "eval_in",
     "eval_reflected_in",
-    "eval_mode",
-    "eval_in_jacobi",
     # purity
     "AxisWindow",
     "GridSpec",
@@ -103,7 +96,6 @@ __all__ = [
     "purity_pq_adaptive",
     "mode_grid",
     "joint_grid",
-    "jacobi_grid",
     # analytic
     "reflected_gaussian_purity",
     "reflected_gaussian_purity_mu_c",

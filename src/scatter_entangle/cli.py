@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
 import sys
@@ -376,8 +377,10 @@ def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
     """Keyword arguments of purity_out: defaults, then $.engine, then --rel-tol."""
     eng = {**_ENGINE_DEFAULTS, **cfg.get("engine", {})}
     if rel_tol_override is not None:
-        if not 1e-10 <= rel_tol_override <= 0.1:
-            raise ConfigError(f"--rel-tol out of range [1e-10, 0.1]: {rel_tol_override}")
+        bounds = _ENGINE["properties"]["rel_tol"]
+        lo, hi = bounds["minimum"], bounds["maximum"]
+        if not lo <= rel_tol_override <= hi:
+            raise ConfigError(f"--rel-tol out of range [{lo}, {hi}]: {rel_tol_override}")
         eng["rel_tol"] = rel_tol_override
     try:
         check_ladder(**eng)
@@ -419,9 +422,9 @@ def _write_csv(
     stream.write(f"# config-sha256: {sha}\n")
     for name, desc in columns:
         stream.write(f"# column {name}: {desc}\n")
-    stream.write(",".join(name for name, _ in columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(name for name, _ in columns)
+    writer.writerows((_fmt(v) for v in row) for row in rows)
 
 
 def _open_out(path: Optional[Path]):

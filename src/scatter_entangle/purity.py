@@ -38,8 +38,12 @@ and spectrum in real arithmetic.
 
 Windows are centered on each mode and span a fixed +-8 sigma per axis, so
 that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
-tightest refinement tolerance, 1e-10. Grids refine by doubling both axes
-until successive purities agree to rel_tol; hitting the node cap without
+tightest refinement tolerance, 1e-10. :func:`mode_grid` covers one lobe
+and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
+:func:`purity_pq_adaptive` builds its own grid in (total, relative)
+momenta and samples the state or out-mode there by calling it at the
+corresponding pair momenta. Grids refine by doubling both axes until
+successive purities agree to rel_tol; hitting the node cap without
 convergence is reported, never silent.
 
 The out-state is handled as two single-mode computations (transmitted and
@@ -62,12 +66,11 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .kinematics import JacobiMomentum
+from .kinematics import JacobiMomentum, jacobi_to_pair
 from .wavefunction import (
     GaussianInState,
     Mode,
     ModeWavefunction,
-    eval_in_jacobi,
     mode_center,
     mode_covariance,
 )
@@ -89,7 +92,6 @@ __all__ = [
     "window_for_mode",
     "mode_grid",
     "joint_grid",
-    "jacobi_grid",
 ]
 
 NPair = Union[int, Sequence[int]]
@@ -496,6 +498,10 @@ def window_for_mode(state: GaussianInState, mode: Mode) -> Tuple[AxisWindow, Axi
 
 
 def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
+    """Grid over one lobe's window; ``Mode.OUT`` has two and raises ValueError.
+
+    A grid over both lobes is :func:`joint_grid`.
+    """
     n1, n2 = _as_pair(n)
     w1, w2 = window_for_mode(state, mode)
     return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
@@ -512,23 +518,6 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
         hi = max(wi.center + wi.halfwidth, wr.center + wr.halfwidth)
         windows.append(AxisWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
     return GridSpec(n1=n1, n2=n2, window1=windows[0], window2=windows[1])
-
-
-def jacobi_grid(state: GaussianInState, n: NPair = 64, symmetric_q: bool = False) -> GridSpec:
-    """Grid in (total, relative) momenta for the same state.
-
-    ``symmetric_q`` widens the q window to [-(k + 8 sigma_q), +...] so a
-    grid can hold both the incident lobe at +k and its reflection at -k.
-    """
-    n1, n2 = _as_pair(n)
-    sp = float(np.hypot(state.sigma1, state.sigma2))
-    sq = state.sigma_q
-    p_win = AxisWindow(0.0, _NSIG * sp)
-    if symmetric_q:
-        q_win = AxisWindow(0.0, state.k + _NSIG * sq)
-    else:
-        q_win = AxisWindow(state.k, _NSIG * sq)
-    return GridSpec(n1=n1, n2=n2, window1=p_win, window2=q_win)
 
 
 def purity_out(
@@ -620,16 +609,24 @@ def purity_pq_adaptive(
     """(total, relative)-momentum purity, refined adaptively on automatic windows.
 
     Scattering leaves this quantity untouched: the S operator is local in the
-    (p, q) tensor structure, so in- and out-states share it. With a model the
-    out-state is evaluated on a q window symmetric about 0 (both lobes);
-    without one, the in-state on its incident lobe.
+    (p, q) tensor structure, so in- and out-states share it. The out-state
+    at (p, q) is t(|q|) phi(p, q) + r(|q|) phi(p, -q), since reflecting the
+    pair momenta of (p, q) lands exactly on (p, -q). The p window spans
+    +-8 sqrt(sigma1^2 + sigma2^2) about 0. With a model the out-state is
+    evaluated on the q window [-(k + 8 sigma_q), k + 8 sigma_q], which holds
+    both lobes; without one, the in-state on its incident lobe, k +- 8 sigma_q.
     """
     obj: Union[GaussianInState, ModeWavefunction]
     if model is None:
-        obj = state
+        obj, q_win = state, AxisWindow(state.k, _NSIG * state.sigma_q)
     else:
         obj = ModeWavefunction(Mode.OUT, state, model)
-    grid = jacobi_grid(state, base_n, symmetric_q=model is not None)
+        q_win = AxisWindow(0.0, state.k + _NSIG * state.sigma_q)
+    p_win = AxisWindow(0.0, _NSIG * float(np.hypot(state.sigma1, state.sigma2)))
+    n1, n2 = _as_pair(base_n)
     return purity_adaptive(
-        lambda P, Q: eval_in_jacobi(obj, JacobiMomentum(P, Q)), grid, rel_tol, n_cap
+        lambda P, Q: obj(*jacobi_to_pair(JacobiMomentum(P, Q), state.masses)),
+        GridSpec(n1=n1, n2=n2, window1=p_win, window2=q_win),
+        rel_tol,
+        n_cap,
     )

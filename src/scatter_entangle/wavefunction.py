@@ -24,6 +24,11 @@ into which the linear phase a1 p1' + a2 p2' factors. Its samples move from
 the pointwise form by at most 2 ulp (4.2e-16 relative with a1 = a2 = 0, on
 2-5 % of the nodes of the tested windows); the pointwise forms remain for
 every other input.
+
+A state or a mode is evaluated only by calling it, ``f(p1, p2)``;
+:func:`eval_reflected_in` is the pointwise reflected in-state that the
+tensor form falls back to. :func:`mode_center` and :func:`mode_covariance`
+describe a single lobe and refuse ``Mode.OUT``, which has two.
 """
 
 from __future__ import annotations
@@ -36,25 +41,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .amplitudes import AmplitudeModel, AmplitudePair
-from .kinematics import (
-    JacobiMomentum,
-    MassPartition,
-    PairMomentum,
-    jacobi_to_pair,
-    pair_to_jacobi,
-    reflect_momenta,
-)
+from .kinematics import MassPartition, PairMomentum, pair_to_jacobi, reflect_momenta
 
 __all__ = [
     "IncomingnessWarning",
     "GaussianInState",
     "Mode",
     "ModeWavefunction",
-    "eval_in",
     "eval_reflected_in",
-    "eval_mode",
     "eval_amplitudes",
-    "eval_in_jacobi",
     "mode_center",
     "mode_covariance",
 ]
@@ -110,7 +105,9 @@ class GaussianInState:
         return float(np.hypot(mp.mu2 * self.sigma1, mp.mu1 * self.sigma2))
 
     def __call__(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
-        return eval_in(self, PairMomentum(p1, p2))
+        """phi_in at the given momenta; supports broadcasting of p1 against p2."""
+        norm, g1, g2 = _in_exponents(self, PairMomentum(p1, p2))
+        return norm * np.exp(g1 + g2)
 
 
 class Mode(enum.Enum):
@@ -152,14 +149,8 @@ def _in_exponents(state: GaussianInState, pm: PairMomentum) -> tuple:
     return _in_norm(state), g1, g2
 
 
-def eval_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """phi_in at the given momenta; supports broadcasting of p1 against p2."""
-    norm, g1, g2 = _in_exponents(state, pm)
-    return norm * np.exp(g1 + g2)
-
-
 def _eval_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """:func:`eval_in`, formed on a tensor grid from two 1-D exps and their outer product."""
+    """phi_in, formed on a tensor grid from two 1-D exps and their outer product."""
     norm, g1, g2 = _in_exponents(state, pm)
     if _is_tensor_grid(g1, g2):
         return norm * np.exp(g1) * np.exp(g2)
@@ -168,17 +159,17 @@ def _eval_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
 
 def eval_reflected_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
     """phi_in composed with the reflection map (relative momentum reversed)."""
-    return eval_in(state, reflect_momenta(pm, state.masses))
+    return state(*reflect_momenta(pm, state.masses))
 
 
 def _eval_reflected_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
     """:func:`eval_reflected_in`, formed on a tensor grid from one real exp.
 
     The envelope exponent is taken at the reflected momenta (p1', p2') by
-    the formula of :func:`eval_in`, in real arithmetic, so it cannot
-    overflow. The phase a1 p1' + a2 p2' = c1 p1 + c2 p2 is linear in the
-    grid's own momenta and factors into the outer product of two 1-D
-    exponentials. Other inputs take the pointwise form.
+    the formula of phi_in, in real arithmetic, so it cannot overflow. The
+    phase a1 p1' + a2 p2' = c1 p1 + c2 p2 is linear in the grid's own
+    momenta and factors into the outer product of two 1-D exponentials.
+    Other inputs take the pointwise form.
     """
     p1, p2 = pm
     if not _is_tensor_grid(p1, p2):
@@ -212,36 +203,33 @@ class ModeWavefunction:
         return self.in_state.masses
 
     def __call__(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
-        return eval_mode(self, PairMomentum(p1, p2))
+        """Evaluate this mode at pair momenta, broadcasting p1 against p2."""
+        state = self.in_state
+        if self.mode is Mode.IN:
+            return state(p1, p2)
+        pm = PairMomentum(p1, p2)
+        if self.mode is Mode.REFLECTED_IN:
+            return _eval_reflected_in_on_grid(state, pm)
+
+        t, r = eval_amplitudes(state, self.amplitudes, pm)
+        # from 256 KiB up numpy forms these products in the Gaussian's own buffer
+        # (temporary elision), as psi * t: complex products with fused
+        # multiply-adds do not commute, so an explicit out= would move last bits.
+        # The unused amplitude is dropped before the Gaussian is formed, which
+        # lowers the peak memory of a branch by one grid-sized array.
+        if self.mode is Mode.TRANSMITTED:
+            del r
+            return t * _eval_in_on_grid(state, pm)
+        if self.mode is Mode.REFLECTED:
+            del t
+            return r * _eval_reflected_in_on_grid(state, pm)
+        return t * _eval_in_on_grid(state, pm) + r * _eval_reflected_in_on_grid(state, pm)
 
     def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
         """True where this mode's incident relative momentum is <= 0."""
         q = pair_to_jacobi(PairMomentum(p1, p2), self.masses).q
         incident = -np.asarray(q) if self.mode in _REVERSED_INCIDENT else np.asarray(q)
         return incident <= 0.0
-
-
-def eval_mode(mw: ModeWavefunction, pm: PairMomentum) -> np.ndarray:
-    """Evaluate one mode at pair momenta, broadcasting fields as needed."""
-    state = mw.in_state
-    if mw.mode is Mode.IN:
-        return eval_in(state, pm)
-    if mw.mode is Mode.REFLECTED_IN:
-        return _eval_reflected_in_on_grid(state, pm)
-
-    t, r = eval_amplitudes(state, mw.amplitudes, pm)
-    # from 256 KiB up numpy forms these products in the Gaussian's own buffer
-    # (temporary elision), as psi * t: complex products with fused
-    # multiply-adds do not commute, so an explicit out= would move last bits.
-    # The unused amplitude is dropped before the Gaussian is formed, which
-    # lowers the peak memory of a branch by one grid-sized array.
-    if mw.mode is Mode.TRANSMITTED:
-        del r
-        return t * _eval_in_on_grid(state, pm)
-    if mw.mode is Mode.REFLECTED:
-        del t
-        return r * _eval_reflected_in_on_grid(state, pm)
-    return t * _eval_in_on_grid(state, pm) + r * _eval_reflected_in_on_grid(state, pm)
 
 
 def eval_amplitudes(
@@ -271,20 +259,20 @@ def eval_amplitudes(
     return model.amplitudes(q_abs, phase)
 
 
-def eval_in_jacobi(
-    obj: Union[GaussianInState, ModeWavefunction], jm: JacobiMomentum
-) -> np.ndarray:
-    """Evaluate a state or mode at (total, relative) momenta.
-
-    For out-modes this realizes the S-action form
-    t(|q|) phi~(p, q) + r(|q|) phi~(p, -q), since reflecting the pair momenta
-    of (p, q) lands exactly on (p, -q).
-    """
-    return obj(*jacobi_to_pair(jm, obj.masses))
+def _check_single_lobe(mode: Mode) -> None:
+    if mode is Mode.OUT:
+        raise ValueError(
+            "the out mode has a transmitted and a reflected lobe, and no single "
+            "center or covariance; cover both with purity.joint_grid"
+        )
 
 
 def mode_center(state: GaussianInState, mode: Mode) -> np.ndarray:
-    """Center of the named mode's momentum distribution, as (p1, p2)."""
+    """Center of the named mode's momentum distribution, as (p1, p2).
+
+    Raises ValueError for :attr:`Mode.OUT`, whose two lobes have no one center.
+    """
+    _check_single_lobe(mode)
     k = state.k
     if mode in _REVERSED_INCIDENT:
         return np.array([-k, k])
@@ -296,8 +284,10 @@ def mode_covariance(state: GaussianInState, mode: Mode) -> np.ndarray:
 
     The transmitted mode reuses the in-state covariance (amplitude factors
     only reshuffle weight inside the same envelope); the reflected modes carry
-    the congruence R Sigma R^T of the reflection map R.
+    the congruence R Sigma R^T of the reflection map R. Raises ValueError
+    for :attr:`Mode.OUT`, which has one lobe of each kind.
     """
+    _check_single_lobe(mode)
     sig = np.diag([state.sigma1**2, state.sigma2**2])
     if mode not in _REVERSED_INCIDENT:
         return sig

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -22,14 +23,9 @@ def write_config(tmp_path, name, cfg):
 
 def read_csv(path):
     """Parse our commented CSV into (comment lines, dict of string columns)."""
-    comments, header, rows = [], None, []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
     cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     return comments, cols
 
@@ -301,10 +297,13 @@ def test_sweep_records_a_rejected_state_in_its_row(tmp_path, capsys):
     cfg = write_config(tmp_path, "tiny.json", cfg_dict)
     out = tmp_path / "tiny.csv"
     assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    # the error field is written unquoted, so the row is checked as text
+    # the error text holds commas, so its field is quoted
     row = out.read_text().splitlines()[-1]
     assert row.startswith("4.9406564584124654e-324,0.20000000000000001,nan,")
-    assert row.endswith(",0,nan,false,ValueError: momentum widths must be positive, got (0.0, 0.0)")
+    assert row.endswith(',0,nan,false,"ValueError: momentum widths must be positive, got (0.0, 0.0)"')
+    _, cols = read_csv(out)
+    assert cols["error"] == ["ValueError: momentum widths must be positive, got (0.0, 0.0)"]
+    assert cols["converged"] == ["false"]
     assert run(["sweep", "--config", str(cfg), "--out", str(out), "--strict"]) == 3
     assert "strict: 1 of 1 sweep points unconverged or failed" in capsys.readouterr().err
 

@@ -12,7 +12,7 @@ from scatter_entangle.analytic import (
     reflected_gaussian_purity,
     reflected_gaussian_purity_mu_c,
 )
-from scatter_entangle.kinematics import JacobiMomentum, MassPartition, PairMomentum
+from scatter_entangle.kinematics import MassPartition, PairMomentum
 from scatter_entangle.purity import (
     AxisWindow,
     GridSpec,
@@ -22,7 +22,6 @@ from scatter_entangle.purity import (
     _leggauss,
     axis_nodes,
     discretize,
-    jacobi_grid,
     joint_grid,
     mode_grid,
     purity_adaptive,
@@ -35,8 +34,6 @@ from scatter_entangle.wavefunction import (
     Mode,
     ModeWavefunction,
     eval_amplitudes,
-    eval_in,
-    eval_in_jacobi,
     eval_reflected_in,
 )
 
@@ -218,10 +215,13 @@ def test_blocked_sampling_equals_one_call_bitwise(kind, shape, mode, monkeypatch
 
 @pytest.mark.parametrize("shape", [(1024, 1024), (128, 64)], ids="{0[0]}x{0[1]}".format)
 def test_blocked_sampling_equals_one_call_bitwise_in_jacobi_coordinates(shape, monkeypatch):
-    # the wave function of purity_pq_adaptive: pointwise, no separable phases
-    out = ModeWavefunction(Mode.OUT, BLOCK_STATE, BLOCK_DD)
-    fn = lambda P, Q: eval_in_jacobi(out, JacobiMomentum(P, Q))
-    grid = jacobi_grid(BLOCK_STATE, shape, symmetric_q=True)
+    # the wave function of purity_pq_adaptive: pointwise, no separable phases;
+    # the ladder is stubbed out to capture what it would sample
+    ladder_args = []
+    monkeypatch.setattr(purity_module, "purity_adaptive", lambda *a: ladder_args.append(a))
+    purity_pq_adaptive(BLOCK_STATE, BLOCK_DD, base_n=shape)
+    [(fn, grid, *_)] = ladder_args
+    assert (grid.n1, grid.n2) == shape
     _assert_blocking_keeps_the_bits(fn, grid, monkeypatch)
 
 
@@ -560,7 +560,7 @@ def joint_grid_overlap(state, model, n):
     x2, w2 = axis_nodes(jg.n2, jg.window2)
     pm = PairMomentum(x1[:, None], x2[None, :])
     amp = eval_amplitudes(state, model, pm)
-    tv = amp.t * eval_in(state, pm)
+    tv = amp.t * state(*pm)
     rv = amp.r * eval_reflected_in(state, pm)
     return abs(np.sum(w1[:, None] * w2[None, :] * np.conj(tv) * rv))
 

@@ -17,8 +17,6 @@ from scatter_entangle.wavefunction import (
     Mode,
     ModeWavefunction,
     eval_amplitudes,
-    eval_in,
-    eval_in_jacobi,
     eval_reflected_in,
     _eval_reflected_in_on_grid,
     mode_center,
@@ -84,7 +82,7 @@ def test_equal_mass_reflection_swaps_arguments():
     p1 = np.linspace(-1.4, 1.4, 31)[:, None]
     p2 = np.linspace(-1.4, 1.4, 37)[None, :]
     refl = eval_reflected_in(st, PairMomentum(p1, p2))
-    swapped = eval_in(st, PairMomentum(p2, p1))
+    swapped = st(p2, p1)
     np.testing.assert_allclose(refl, swapped, rtol=1e-14)
 
 
@@ -104,7 +102,7 @@ def test_matched_width_reflection_modulus_symmetry():
     p1 = np.linspace(-1.5, 1.5, 41)[:, None]
     p2 = np.linspace(-1.5, 1.5, 43)[None, :]
     lhs = np.abs(eval_reflected_in(st, PairMomentum(p1, p2)))
-    rhs = np.abs(eval_in(st, PairMomentum(-p1, -p2)))
+    rhs = np.abs(st(-p1, -p2))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
@@ -172,7 +170,7 @@ def test_jacobi_evaluation_matches_pair_form():
     rng = np.random.default_rng(11)
     p = rng.normal(0.0, 0.2, 64)
     q = rng.normal(st.k, 0.1, 64)
-    via_jacobi = eval_in_jacobi(st, JacobiMomentum(p, q))
+    via_jacobi = st(*jacobi_to_pair(JacobiMomentum(p, q), st.masses))
     direct = st(0.2 * p + q, 0.8 * p - q)  # p1 = mu1 p + q, p2 = mu2 p - q
     np.testing.assert_allclose(via_jacobi, direct, rtol=1e-13)
 
@@ -185,11 +183,12 @@ def test_out_mode_factorizes_in_jacobi_coordinates():
     rng = np.random.default_rng(7)
     p = rng.normal(0.0, 0.3, 200)
     q = rng.choice([-1.0, 1.0], 200) * rng.uniform(0.3, 1.7, 200)
-    got = eval_in_jacobi(out, JacobiMomentum(p, q))
+    def at(f, q):
+        return f(*jacobi_to_pair(JacobiMomentum(p, q), st.masses))
+
+    got = at(out, q)
     t, r = model.amplitudes(np.abs(q))
-    expect = t * eval_in_jacobi(st, JacobiMomentum(p, q)) + r * eval_in_jacobi(
-        st, JacobiMomentum(p, -q)
-    )
+    expect = t * at(st, q) + r * at(st, -q)
     # coordinate round-trip costs an ulp on q before the amplitudes see it
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-300)
 
@@ -204,6 +203,13 @@ def test_mode_covariance_reflected_congruence():
     )
     np.testing.assert_array_equal(mode_covariance(st, Mode.IN), sig)
     np.testing.assert_array_equal(mode_covariance(st, Mode.TRANSMITTED), sig)
+
+
+@pytest.mark.parametrize("fn", [mode_center, mode_covariance, mode_grid])
+def test_single_lobe_windows_refuse_the_out_mode(fn):
+    # a window on the transmitted lobe alone would hold half of the out-state
+    with pytest.raises(ValueError, match="joint_grid"):
+        fn(make_state(mu1=0.2), Mode.OUT)
 
 
 def test_matched_width_reflection_preserves_covariance():
