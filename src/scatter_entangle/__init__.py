@@ -32,7 +32,6 @@ from .wavefunction import (
     IncomingnessWarning,
     Mode,
     ModeWavefunction,
-    eval_reflected_in,
 )
 from .purity import (
     AxisWindow,
@@ -82,7 +81,6 @@ __all__ = [
     "IncomingnessWarning",
     "Mode",
     "ModeWavefunction",
-    "eval_reflected_in",
     # purity
     "AxisWindow",
     "GridSpec",

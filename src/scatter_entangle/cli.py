@@ -670,6 +670,17 @@ def cmd_validate() -> int:
 # --------------------------------------------------------------------------
 # entry points
 
+def _thread_count(text: str) -> int:
+    """argparse type of ``--workers``: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatter-entangle",
@@ -695,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sweep = sub.add_parser("sweep", help="purity vs central momentum as CSV")
     add_common(sp_sweep, True)
     sp_sweep.add_argument(
-        "--workers", type=int, default=1, help="thread count (output is order-stable)"
+        "--workers", type=_thread_count, default=1, help="thread count >= 1 (order-stable output)"
     )
     add_common(sub.add_parser("reflectmap", help="closed-form purity over (mu1, c) as CSV"))
     sub.add_parser("validate", help="run the physics self checks")

@@ -25,18 +25,22 @@ A is sampled in blocks of whole rows, about 2^15 nodes each, written into
 one preallocated array, so the wave function's temporaries stay in cache
 and the peak memory of sampling is little more than A itself. Wave
 functions must therefore be pointwise: each sample depends only on its own
-(p1, p2). Blocks keep at least 2 rows and, on a grid of more than one
-block, at least 2^15 nodes; with both rules the samples are bitwise those
-of one call on the whole grid (see :func:`discretize`). Samples whose
-real or imaginary part lies below 2^-511 in magnitude are stored as zeros,
-so that no product of two samples in the Gram matrix is subnormal:
-subnormal arithmetic takes a slow path in the CPU, and tilted reflected
-windows, whose corners lie hundreds of e-folds down the Gaussian tail,
-held enough such samples to double the time of a 512^2 Gram matrix.
+(p1, p2). The package's modes evaluate one formula for any input shape,
+so a block gets the bits it would get from one call on the whole grid
+once every block of a multi-block grid holds at least 2^15 nodes (see
+:func:`discretize`). Samples whose real or imaginary part lies below
+2^-511 in magnitude are stored as zeros, so that no product of two
+samples in the Gram matrix is subnormal: subnormal arithmetic takes a slow
+path in the CPU, and tilted reflected windows, whose corners lie hundreds
+of e-folds down the Gaussian tail, held enough such samples to double the
+time of a 512^2 Gram matrix.
 A real A, as the hard core's reflected branch samples, gets its Gram matrix
 and spectrum in real arithmetic.
 
-Windows are centered on each mode and span a fixed +-8 sigma per axis, so
+Windows are decided here and nowhere else. A mode's lobe is centered on
+(k, -k), or on (-k, k) for the reflected modes, with the in-state's
+covariance diag(sigma1^2, sigma2^2) or its congruence R Sigma R^T under
+the reflection map R; its window spans a fixed +-8 sigma per axis, so
 that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
 tightest refinement tolerance, 1e-10. :func:`mode_grid` covers one lobe
 and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
@@ -46,15 +50,18 @@ corresponding pair momenta. Grids refine by doubling both axes until
 successive purities agree to rel_tol; hitting the node cap without
 convergence is reported, never silent.
 
-The out-state is handled as two single-mode computations (transmitted and
-reflected branches barely overlap for incoming states), recombined as
-w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref); a joint
-grid covering both lobes reproduces the same number and serves as the
-additivity cross-check. The overlap |<t|r>| that :func:`purity_out` reports
-samples both branch wave functions through :func:`discretize` on that joint
-grid, at a fixed 256 nodes per axis, so it measures the very functions the
-two branch ladders integrate; when one branch vanishes (the hard core
-transmits nothing) it is 0.0 without sampling.
+The out-state is handled as two single-mode computations, recombined as
+w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref). The
+split drops the one-particle cross terms between the branches, which
+matter once the packets' momentum ranges overlap: at mu1 = 0.2,
+sigma = (0.3, 0.1) k and a delta at k = b the split is 2.8e-4 (relative)
+below the purity of the out-mode sampled on one joint grid. ``converged``
+does not bound these terms. The overlap |<t|r>| that :func:`purity_out`
+reports samples both branch wave functions through :func:`discretize` on
+the joint grid, at a fixed 256 nodes per axis, so it measures the very
+functions the two branch ladders integrate; it is not a bound on the
+split's error (5.3e-6 in the case above). When one branch vanishes (the
+hard core transmits nothing) it is 0.0 without sampling.
 """
 
 from __future__ import annotations
@@ -67,13 +74,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .kinematics import JacobiMomentum, jacobi_to_pair
-from .wavefunction import (
-    GaussianInState,
-    Mode,
-    ModeWavefunction,
-    mode_center,
-    mode_covariance,
-)
+from .wavefunction import _REVERSED_INCIDENT, GaussianInState, Mode, ModeWavefunction
 from .amplitudes import AmplitudeModel
 
 __all__ = [
@@ -89,7 +90,6 @@ __all__ = [
     "purity_adaptive",
     "purity_out",
     "purity_pq_adaptive",
-    "window_for_mode",
     "mode_grid",
     "joint_grid",
 ]
@@ -230,18 +230,13 @@ def discretize(
     x2[None, :])``, and each weighted block is written into its slice of one
     preallocated n1 x n2 array; so ``wavefn`` must be pointwise, each sample
     depending only on its own (p1, p2). A block holds about 2^15 nodes, and
-    a grid that small is one block. Two rules make the samples bitwise
-    equal to one call on the whole grid:
-
-    - every block keeps at least 2 rows, so that wave functions still see a
-      tensor grid (``wavefunction._is_tensor_grid``) and take the separable
-      phase path rather than the pointwise one;
-    - every block of a multi-block grid holds at least 2^15 nodes, so its
-      complex temporaries lie above numpy's 256 KiB temporary-elision
-      threshold, as the whole grid's do; elision reorders the operands of a
-      complex product, which moves last bits. Node counts are powers of two,
-      so a grid of more than one block splits into equal blocks of
-      max(2, 2^15 / n2) rows, at least 2^15 nodes each.
+    a grid that small is one block. Every block of a multi-block grid holds
+    at least 2^15 nodes, so its complex temporaries lie above numpy's
+    256 KiB temporary-elision threshold, as the whole grid's do; elision
+    reorders the operands of a complex product, which moves last bits. So
+    the samples are bitwise those of one call on the whole grid. Node
+    counts are powers of two, so a grid of more than one block splits into
+    equal blocks of max(1, 2^15 / n2) rows.
 
     Weighted samples whose real or imaginary part lies below 2^-511 in
     magnitude have that part set to zero (``_FLUSH_BELOW``), so that the
@@ -255,7 +250,7 @@ def discretize(
     x2, w2 = axis_nodes(grid.n2, grid.window2)
     sw1, sw2 = np.sqrt(w1)[:, None], np.sqrt(w2)[None, :]
     a = np.empty((grid.n1, grid.n2), dtype=complex)
-    rows = max(2, _BLOCK_NODES // grid.n2)
+    rows = max(1, _BLOCK_NODES // grid.n2)
     n_bad, first_bad = 0, None
     for r0 in range(0, grid.n1, rows):
         blk = slice(r0, r0 + rows)
@@ -489,12 +484,22 @@ def purity_adaptive(
 _NSIG = 8.0
 
 
-def window_for_mode(state: GaussianInState, mode: Mode) -> Tuple[AxisWindow, AxisWindow]:
-    """Axis-aligned bounding box of the mode's +-8 sigma covariance ellipse."""
-    center = mode_center(state, mode)
-    cov = mode_covariance(state, mode)
+def _lobe_windows(state: GaussianInState, reflected: bool) -> Tuple[AxisWindow, AxisWindow]:
+    """Axis-aligned bounding box of one lobe's +-8 sigma covariance ellipse.
+
+    The incident lobe sits at (k, -k) with covariance Sigma = diag(sigma1^2,
+    sigma2^2): amplitude factors only reshuffle weight inside the in-state's
+    envelope. The reflected lobe sits at (-k, k) with the congruence
+    R Sigma R^T of the reflection map R.
+    """
+    k = state.k
+    cov = np.diag([state.sigma1**2, state.sigma2**2])
+    if reflected:
+        mp = state.masses
+        refl = np.array([[mp.mu1 - mp.mu2, 2.0 * mp.mu1], [2.0 * mp.mu2, mp.mu2 - mp.mu1]])
+        cov, k = refl @ cov @ refl.T, -k
     hw = _NSIG * np.sqrt(np.diag(cov))
-    return AxisWindow(center[0], float(hw[0])), AxisWindow(center[1], float(hw[1]))
+    return AxisWindow(k, float(hw[0])), AxisWindow(-k, float(hw[1]))
 
 
 def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
@@ -502,18 +507,20 @@ def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
 
     A grid over both lobes is :func:`joint_grid`.
     """
+    if mode is Mode.OUT:
+        raise ValueError(
+            "the out mode has a transmitted and a reflected lobe; cover both with joint_grid"
+        )
     n1, n2 = _as_pair(n)
-    w1, w2 = window_for_mode(state, mode)
+    w1, w2 = _lobe_windows(state, mode in _REVERSED_INCIDENT)
     return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
 
 
 def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
     """Single grid whose windows cover both the in and reflected lobes."""
     n1, n2 = _as_pair(n)
-    win_in = window_for_mode(state, Mode.IN)
-    win_rf = window_for_mode(state, Mode.REFLECTED_IN)
     windows = []
-    for wi, wr in zip(win_in, win_rf):
+    for wi, wr in zip(_lobe_windows(state, False), _lobe_windows(state, True)):
         lo = min(wi.center - wi.halfwidth, wr.center - wr.halfwidth)
         hi = max(wi.center + wi.halfwidth, wr.center + wr.halfwidth)
         windows.append(AxisWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
@@ -531,26 +538,30 @@ def purity_out(
     """Purity of the full out-state via the two-branch mode split.
 
     Each branch converges on its own window; branch purities recombine as
-    w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. The overlap
-    |<transmitted|reflected>|, a diagnostic of the split's validity, samples
+    w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. This drops
+    the one-particle cross terms between the branches, which matter when
+    the packets' momentum ranges overlap (see the module docstring);
+    ``converged`` means only that each branch ladder met rel_tol, and does
+    not bound those terms. The overlap |<transmitted|reflected>| samples
     both branch wave functions through :func:`discretize` on the
     :func:`joint_grid` of 256 x 256 nodes over +-8 sigma windows and takes
-    their weighted inner product. A branch with exactly zero weight (hard
-    core transmission) contributes nothing and is marked absent via a None
-    sub-report; the overlap is then 0.0 exactly, and no joint grid is
-    sampled. All settings are checked by :func:`check_ladder` first. With
-    ``spectrum`` false neither branch runs its final eigensolve and the
-    report's spectra are None.
+    their weighted inner product; it is not a bound on the split's error
+    either. A branch with exactly zero weight (hard core transmission)
+    contributes nothing and is marked absent via a None sub-report; the
+    overlap is then 0.0 exactly, and no joint grid is sampled. All settings
+    are checked by :func:`check_ladder` first. With ``spectrum`` false
+    neither branch runs its final eigensolve and the report's spectra are
+    None.
     """
     check_ladder(rel_tol, base_n, n_cap)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
     ref = ModeWavefunction(Mode.REFLECTED, state, model)
 
     reports = {}
-    for name, mode_fn, mode in (("tra", tra, Mode.TRANSMITTED), ("ref", ref, Mode.REFLECTED)):
+    for name, mode_fn in (("tra", tra), ("ref", ref)):
         try:
             reports[name] = purity_adaptive(
-                mode_fn, mode_grid(state, mode, base_n), rel_tol, n_cap, spectrum
+                mode_fn, mode_grid(state, mode_fn.mode, base_n), rel_tol, n_cap, spectrum
             )
         except ZeroWavefunctionError:
             reports[name] = None

@@ -14,21 +14,23 @@ weight a mode carries where its *incident* momentum is non-positive is a
 Gaussian tail (of order exp(-(k/sigma_q)^2 / 2)) and is surfaced as an
 out-of-convention diagnostic rather than hidden.
 
-On a tensor grid (p1 of shape (n1, 1), p2 of shape (1, n2)) the modes form
-their Gaussians from 1-D pieces. The in-state is the outer product of its
-two 1-D factors. The reflected in-state is phi_in at the reflected momenta
-(p1', p2'), where the relative momentum is inverted; its envelope couples
-p1 and p2, so it is one real exp of the envelope exponent on the grid,
-times the outer product of the 1-D phases exp(i c1 p1) and exp(i c2 p2)
-into which the linear phase a1 p1' + a2 p2' factors. Its samples move from
-the pointwise form by at most 2 ulp (4.2e-16 relative with a1 = a2 = 0, on
-2-5 % of the nodes of the tested windows); the pointwise forms remain for
-every other input.
+The scattered modes form their Gaussians from 1-D pieces, by one formula
+for any input shape, so each sample depends only on its own (p1, p2) and
+a mode gives the same bits on a tensor grid (p1 of shape (n1, 1), p2 of
+shape (1, n2)) as on the same nodes passed as full arrays. The in-state is
+the product of its two 1-D factors. The reflected in-state is phi_in at
+the reflected momenta (p1', p2'), where the relative momentum is inverted;
+its envelope couples p1 and p2, so it is one real exp of the envelope
+exponent, times the product of the 1-D phases exp(i c1 p1) and
+exp(i c2 p2) into which the linear phase a1 p1' + a2 p2' factors. Its
+samples differ from phi_in evaluated at (p1', p2') by at most 2 ulp
+(4.2e-16 relative with a1 = a2 = 0, on 2-5 % of the nodes of the tested
+windows). Calling the state itself keeps the form exp(g1 + g2); see
+:class:`GaussianInState`.
 
-A state or a mode is evaluated only by calling it, ``f(p1, p2)``;
-:func:`eval_reflected_in` is the pointwise reflected in-state that the
-tensor form falls back to. :func:`mode_center` and :func:`mode_covariance`
-describe a single lobe and refuse ``Mode.OUT``, which has two.
+A state or a mode is evaluated only by calling it, ``f(p1, p2)``. The
+geometry of a mode's lobes, and so its integration window, is decided in
+``purity.mode_grid`` and ``purity.joint_grid``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,7 @@ __all__ = [
     "GaussianInState",
     "Mode",
     "ModeWavefunction",
-    "eval_reflected_in",
     "eval_amplitudes",
-    "mode_center",
-    "mode_covariance",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -105,7 +104,14 @@ class GaussianInState:
         return float(np.hypot(mp.mu2 * self.sigma1, mp.mu1 * self.sigma2))
 
     def __call__(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
-        """phi_in at the given momenta; supports broadcasting of p1 against p2."""
+        """phi_in at the given momenta; supports broadcasting of p1 against p2.
+
+        One exp of the summed exponent, where the transmitted mode multiplies
+        the exps of the two 1-D factors. The two forms differ in the last
+        bits; this one is kept because ``Mode.IN`` and the CLI's in-state
+        purity (potential kind "none") sample it, and the factored form
+        moves the last bits of their output.
+        """
         norm, g1, g2 = _in_exponents(self, PairMomentum(p1, p2))
         return norm * np.exp(g1 + g2)
 
@@ -120,11 +126,6 @@ class Mode(enum.Enum):
 
 _NEEDS_MODEL = (Mode.TRANSMITTED, Mode.REFLECTED, Mode.OUT)
 _REVERSED_INCIDENT = (Mode.REFLECTED, Mode.REFLECTED_IN)
-
-
-def _is_tensor_grid(x1: ArrayLike, x2: ArrayLike) -> bool:
-    """True when x1 and x2 broadcast as an outer product, e.g. shapes (n1, 1), (1, n2)."""
-    return np.size(x1) + np.size(x2) < np.broadcast(x1, x2).size
 
 
 def _in_norm(state: GaussianInState) -> float:
@@ -149,31 +150,21 @@ def _in_exponents(state: GaussianInState, pm: PairMomentum) -> tuple:
     return _in_norm(state), g1, g2
 
 
-def _eval_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """phi_in, formed on a tensor grid from two 1-D exps and their outer product."""
+def _eval_in_factored(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
+    """phi_in as the product of the exps of its two 1-D factors."""
     norm, g1, g2 = _in_exponents(state, pm)
-    if _is_tensor_grid(g1, g2):
-        return norm * np.exp(g1) * np.exp(g2)
-    return norm * np.exp(g1 + g2)
+    return norm * np.exp(g1) * np.exp(g2)
 
 
-def eval_reflected_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """phi_in composed with the reflection map (relative momentum reversed)."""
-    return state(*reflect_momenta(pm, state.masses))
-
-
-def _eval_reflected_in_on_grid(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
-    """:func:`eval_reflected_in`, formed on a tensor grid from one real exp.
+def _eval_reflected_in(state: GaussianInState, pm: PairMomentum) -> np.ndarray:
+    """phi_in composed with the reflection map, formed from one real exp.
 
     The envelope exponent is taken at the reflected momenta (p1', p2') by
     the formula of phi_in, in real arithmetic, so it cannot overflow. The
-    phase a1 p1' + a2 p2' = c1 p1 + c2 p2 is linear in the grid's own
-    momenta and factors into the outer product of two 1-D exponentials.
-    Other inputs take the pointwise form.
+    phase a1 p1' + a2 p2' = c1 p1 + c2 p2 is linear in the pair momenta
+    themselves and factors into the product of two 1-D exponentials.
     """
     p1, p2 = pm
-    if not _is_tensor_grid(p1, p2):
-        return eval_reflected_in(state, pm)
     mp = state.masses
     d1, d2 = _in_envelopes(state, reflect_momenta(pm, mp))
     c1 = (mp.mu1 - mp.mu2) * state.a1 + 2.0 * mp.mu2 * state.a2
@@ -209,7 +200,7 @@ class ModeWavefunction:
             return state(p1, p2)
         pm = PairMomentum(p1, p2)
         if self.mode is Mode.REFLECTED_IN:
-            return _eval_reflected_in_on_grid(state, pm)
+            return _eval_reflected_in(state, pm)
 
         t, r = eval_amplitudes(state, self.amplitudes, pm)
         # from 256 KiB up numpy forms these products in the Gaussian's own buffer
@@ -219,11 +210,11 @@ class ModeWavefunction:
         # lowers the peak memory of a branch by one grid-sized array.
         if self.mode is Mode.TRANSMITTED:
             del r
-            return t * _eval_in_on_grid(state, pm)
+            return t * _eval_in_factored(state, pm)
         if self.mode is Mode.REFLECTED:
             del t
-            return r * _eval_reflected_in_on_grid(state, pm)
-        return t * _eval_in_on_grid(state, pm) + r * _eval_reflected_in_on_grid(state, pm)
+            return r * _eval_reflected_in(state, pm)
+        return t * _eval_in_factored(state, pm) + r * _eval_reflected_in(state, pm)
 
     def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
         """True where this mode's incident relative momentum is <= 0."""
@@ -237,9 +228,10 @@ def eval_amplitudes(
 ) -> AmplitudePair:
     """(t, r) at the relative momenta q of the pair momenta, evaluated at |q|.
 
-    On a tensor grid every scatterer phase exp(2i|q|x) is the outer product
-    of the 1-D exponentials exp(2i*mu2*x*p1) and exp(-2i*mu1*x*p2), since
-    q = mu2*p1 - mu1*p2, conjugated where q < 0.
+    Every scatterer phase exp(2i|q|x) is the product of the 1-D
+    exponentials exp(2i*mu2*x*p1) and exp(-2i*mu1*x*p2), since
+    q = mu2*p1 - mu1*p2, conjugated where q < 0; on a tensor grid that is
+    an outer product of two 1-D arrays.
     """
     mp = state.masses
     p1, p2 = pm
@@ -247,52 +239,12 @@ def eval_amplitudes(
     # floor |q| so composite transfer matrices stay finite at stray q == 0
     # nodes; the state weight there is a deep Gaussian tail
     q_abs = np.maximum(np.abs(q), 1e-13 * state.k)
-    if not _is_tensor_grid(p1, p2):
-        return model.amplitudes(q_abs)
-
     neg = q < 0.0
 
     def phase(x: float) -> np.ndarray:
-        e = np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2)
+        # an array even for 0-d momenta, so that it can be conjugated in place
+        e = np.asarray(np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2))
         return np.conjugate(e, out=e, where=neg)
 
     return model.amplitudes(q_abs, phase)
 
-
-def _check_single_lobe(mode: Mode) -> None:
-    if mode is Mode.OUT:
-        raise ValueError(
-            "the out mode has a transmitted and a reflected lobe, and no single "
-            "center or covariance; cover both with purity.joint_grid"
-        )
-
-
-def mode_center(state: GaussianInState, mode: Mode) -> np.ndarray:
-    """Center of the named mode's momentum distribution, as (p1, p2).
-
-    Raises ValueError for :attr:`Mode.OUT`, whose two lobes have no one center.
-    """
-    _check_single_lobe(mode)
-    k = state.k
-    if mode in _REVERSED_INCIDENT:
-        return np.array([-k, k])
-    return np.array([k, -k])
-
-
-def mode_covariance(state: GaussianInState, mode: Mode) -> np.ndarray:
-    """Covariance matrix of |phi|^2 for the named mode in the (p1, p2) plane.
-
-    The transmitted mode reuses the in-state covariance (amplitude factors
-    only reshuffle weight inside the same envelope); the reflected modes carry
-    the congruence R Sigma R^T of the reflection map R. Raises ValueError
-    for :attr:`Mode.OUT`, which has one lobe of each kind.
-    """
-    _check_single_lobe(mode)
-    sig = np.diag([state.sigma1**2, state.sigma2**2])
-    if mode not in _REVERSED_INCIDENT:
-        return sig
-    mp = state.masses
-    refl = np.array(
-        [[mp.mu1 - mp.mu2, 2.0 * mp.mu1], [2.0 * mp.mu2, mp.mu2 - mp.mu1]]
-    )
-    return refl @ sig @ refl.T

@@ -155,6 +155,21 @@ def test_model_dispatch_matches_free_functions():
     assert m.strength_scale == pytest.approx(0.16 * 1.1, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "model, alpha",
+    [
+        (AmplitudeModel.hard_core(MP), 0.0),
+        (AmplitudeModel.composite([(3.0, -7.0), (5.0, 1.5)], MP), 0.0),
+        (AmplitudeModel.dirac_delta(-2.0, MP), 2.0),
+        (AmplitudeModel.double_dirac_delta(-1.1, 0.8, MP), 1.1),
+    ],
+    ids=["hard_core", "composite", "delta", "double_delta"],
+)
+def test_alpha_and_strength_scale_are_zero_without_a_delta_strength(model, alpha):
+    assert model.alpha == alpha
+    assert model.strength_scale == MP.mu_red * alpha
+
+
 def test_model_normalizes_attractive_strength():
     m = AmplitudeModel.dirac_delta(-2.0, MP)
     assert m.alpha == 2.0

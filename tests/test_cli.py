@@ -169,6 +169,15 @@ def test_sweep_output_is_order_stable_across_workers(tmp_path):
     assert out1.read_bytes() == out3.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, "sweep.json", SWEEP_CFG)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--config", str(cfg), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 DOUBLE_DELTA = {"kind": "double_delta", "alpha": 6.25, "half_separation_times_strength": 10.0}
 
 

@@ -9,18 +9,16 @@ from scatter_entangle.kinematics import (
     MassPartition,
     PairMomentum,
     jacobi_to_pair,
+    reflect_momenta,
 )
-from scatter_entangle.purity import axis_nodes, discretize, mode_grid
+from scatter_entangle.purity import axis_nodes, discretize, joint_grid, mode_grid
 from scatter_entangle.wavefunction import (
     GaussianInState,
     IncomingnessWarning,
     Mode,
     ModeWavefunction,
     eval_amplitudes,
-    eval_reflected_in,
-    _eval_reflected_in_on_grid,
-    mode_center,
-    mode_covariance,
+    _eval_reflected_in,
 )
 
 EQUAL = MassPartition(0.5)
@@ -31,6 +29,11 @@ def make_state(mu1=0.5, k=1.0, s1=0.1, s2=0.2, a1=0.0, a2=0.0):
     return GaussianInState(
         k=k, sigma1=s1, sigma2=s2, masses=MassPartition(mu1), a1=a1, a2=a2
     )
+
+
+def eval_reflected_in(st, pm):
+    """The reference reflected in-state: phi_in at the reflected momenta."""
+    return st(*reflect_momenta(pm, st.masses))
 
 
 def test_peak_value_and_position():
@@ -88,7 +91,8 @@ def test_equal_mass_reflection_swaps_arguments():
 
 def test_reflected_peak_sits_at_reversed_center():
     st = make_state(mu1=0.3)
-    c = mode_center(st, Mode.REFLECTED_IN)
+    grid = mode_grid(st, Mode.REFLECTED_IN)
+    c = grid.window1.center, grid.window2.center
     np.testing.assert_array_equal(c, [-st.k, st.k])
     peak = abs(eval_reflected_in(st, PairMomentum(c[0], c[1])))
     near = abs(eval_reflected_in(st, PairMomentum(c[0] + 0.03, c[1])))
@@ -193,30 +197,33 @@ def test_out_mode_factorizes_in_jacobi_coordinates():
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-300)
 
 
-def test_mode_covariance_reflected_congruence():
+def halfwidths(st, mode):
+    grid = mode_grid(st, mode)
+    return np.array([grid.window1.halfwidth, grid.window2.halfwidth])
+
+
+def test_reflected_window_spans_the_congruence_covariance():
     st = make_state(mu1=0.3, s1=0.1, s2=0.25)
     mp = st.masses
     refl = np.array([[mp.mu1 - mp.mu2, 2 * mp.mu1], [2 * mp.mu2, mp.mu2 - mp.mu1]])
     sig = np.diag([st.sigma1**2, st.sigma2**2])
     np.testing.assert_allclose(
-        mode_covariance(st, Mode.REFLECTED), refl @ sig @ refl.T, rtol=1e-15
+        halfwidths(st, Mode.REFLECTED), 8.0 * np.sqrt(np.diag(refl @ sig @ refl.T)), rtol=1e-15
     )
-    np.testing.assert_array_equal(mode_covariance(st, Mode.IN), sig)
-    np.testing.assert_array_equal(mode_covariance(st, Mode.TRANSMITTED), sig)
+    np.testing.assert_array_equal(halfwidths(st, Mode.IN), 8.0 * np.sqrt(np.diag(sig)))
+    np.testing.assert_array_equal(halfwidths(st, Mode.TRANSMITTED), 8.0 * np.sqrt(np.diag(sig)))
 
 
-@pytest.mark.parametrize("fn", [mode_center, mode_covariance, mode_grid])
-def test_single_lobe_windows_refuse_the_out_mode(fn):
+def test_single_lobe_windows_refuse_the_out_mode():
     # a window on the transmitted lobe alone would hold half of the out-state
     with pytest.raises(ValueError, match="joint_grid"):
-        fn(make_state(mu1=0.2), Mode.OUT)
+        mode_grid(make_state(mu1=0.2), Mode.OUT)
 
 
-def test_matched_width_reflection_preserves_covariance():
+def test_matched_width_reflection_preserves_the_window():
     st = make_state(mu1=0.2, s1=0.125, s2=0.25)  # sigma2^2/sigma1^2 = 4 = mu2/mu1
-    cov = mode_covariance(st, Mode.REFLECTED)
     np.testing.assert_allclose(
-        cov, np.diag([st.sigma1**2, st.sigma2**2]), rtol=1e-14, atol=1e-18
+        halfwidths(st, Mode.REFLECTED), halfwidths(st, Mode.IN), rtol=1e-14
     )
 
 
@@ -309,7 +316,7 @@ def test_reflected_in_on_a_tensor_grid_matches_pointwise_evaluation(case):
     p1 = axis_nodes(grid.n1, grid.window1)[0][:, None]
     p2 = axis_nodes(grid.n2, grid.window2)[0][None, :]
     full = PairMomentum(*np.broadcast_arrays(p1, p2))
-    tensor = _eval_reflected_in_on_grid(st, PairMomentum(p1, p2))
+    tensor = _eval_reflected_in(st, PairMomentum(p1, p2))
     pointwise = eval_reflected_in(st, full)
     assert np.all(np.isfinite(tensor))
     # a sample that underflows pointwise is an exact zero here as well; six of
@@ -320,5 +327,27 @@ def test_reflected_in_on_a_tensor_grid_matches_pointwise_evaluation(case):
     # the reflected in-mode takes this route on tensor grids
     mode = ModeWavefunction(Mode.REFLECTED_IN, st)
     assert np.array_equal(mode(p1, p2), tensor)
-    # and falls back to the pointwise form elsewhere
-    assert np.array_equal(_eval_reflected_in_on_grid(st, full), pointwise)
+
+
+SHAPE_STATE = make_state(mu1=0.2, s1=0.2, s2=0.1, a1=0.4, a2=-0.3)
+SHAPE_MODELS = {
+    "delta": AmplitudeModel.dirac_delta(6.25, HEAVY2),  # b = k
+    "double_delta": CRITERION_10_MODEL,
+    "hard_core": AmplitudeModel.hard_core(HEAVY2),
+}
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (256, 128)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", SHAPE_MODELS)
+def test_a_mode_gives_the_same_bits_whatever_the_array_shape(kind, mode, shape):
+    # 64x32 complex samples lie below numpy's 256 KiB temporary-elision
+    # threshold, 256x128 above it
+    st = SHAPE_STATE
+    fn = ModeWavefunction(mode, st, SHAPE_MODELS[kind])
+    grid = joint_grid(st, shape) if mode is Mode.OUT else mode_grid(st, mode, shape)
+    p1 = axis_nodes(grid.n1, grid.window1)[0][:, None]
+    p2 = axis_nodes(grid.n2, grid.window2)[0][None, :]
+    tensor = np.asarray(fn(p1, p2), dtype=complex)
+    full = np.asarray(fn(*np.broadcast_arrays(p1, p2)), dtype=complex)
+    assert np.array_equal(tensor.view(np.uint64), full.view(np.uint64))
