@@ -551,8 +551,8 @@ SWEEP_COLUMNS = [
     ("purity_ref", "reflected-branch contribution w_r^2 * p_r"),
     ("overlap", "|<transmitted|reflected>| on the joint grid"),
     ("grid_N", "largest per-axis node count used"),
-    ("est_error", "last successive refinement difference (relative)"),
-    ("converged", "true if every branch met rel_tol before the node cap"),
+    ("est_error", "estimated relative error of the total"),
+    ("converged", "true if the total's error estimate met rel_tol before the node caps"),
     ("error", "per-point failure message, empty on success"),
 ]
 

@@ -47,21 +47,29 @@ and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
 :func:`purity_pq_adaptive` builds its own grid in (total, relative)
 momenta and samples the state or out-mode there by calling it at the
 corresponding pair momenta. Grids refine by doubling both axes until
-successive purities agree to rel_tol; hitting the node cap without
-convergence is reported, never silent.
+the error estimate of the reported purity meets rel_tol; hitting the node
+cap without convergence is reported, never silent.
 
-The out-state is handled as two single-mode computations, recombined as
+The out-state is handled as two single-mode ladders, recombined as
 w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref). The
-split drops the one-particle cross terms between the branches, which
-matter once the packets' momentum ranges overlap: at mu1 = 0.2,
-sigma = (0.3, 0.1) k and a delta at k = b the split is 2.8e-4 (relative)
-below the purity of the out-mode sampled on one joint grid. ``converged``
-does not bound these terms. The overlap |<t|r>| that :func:`purity_out`
-reports samples both branch wave functions through :func:`discretize` on
-the joint grid, at a fixed 256 nodes per axis, so it measures the very
-functions the two branch ladders integrate; it is not a bound on the
-split's error (5.3e-6 in the case above). When one branch vanishes (the
-hard core transmits nothing) it is 0.0 without sampling.
+ladders are refined as one, against the error of that total rather than of each branch
+(QUADPACK's global error budget, Piessens et al. 1983): the estimate sums
+each branch's weighted successive changes of purity and norm, and only the
+branch with the largest share is doubled. Near a resonance the transmitted
+branch carries about 1e-4 of the total, so it stops several levels before
+its own purity would meet rel_tol. With one ladder the estimate is the
+successive relative difference of its purity. A ladder that is not being
+refined keeps no samples, only its norm, purity, oob weight and, for a
+spectrum, its Gram matrix. The split drops the one-particle cross terms
+between the branches, which matter once the packets' momentum ranges
+overlap: at mu1 = 0.2, sigma = (0.3, 0.1) k and a delta at k = b the split
+is 2.8e-4 (relative) below the purity of the out-mode sampled on one joint
+grid. ``converged`` does not bound these terms. The overlap |<t|r>| that
+:func:`purity_out` reports samples both branch wave functions through
+:func:`discretize` on the joint grid, at a fixed 256 nodes per axis, so it
+measures the very functions the two branch ladders integrate; it is not a
+bound on the split's error (5.3e-6 in the case above). When one branch
+vanishes (the hard core transmits nothing) it is 0.0 without sampling.
 """
 
 from __future__ import annotations
@@ -297,10 +305,10 @@ def purity_from_matrix(
     if norm_sq == 0.0:
         raise ZeroWavefunctionError("wave function vanishes on the entire grid")
     purity = float(np.sum(np.abs(wam.gram) ** 2)) / norm_sq**2
-    return purity, _schmidt_spectrum(wam) if spectrum else None
+    return purity, _schmidt_spectrum(wam.gram) if spectrum else None
 
 
-def _schmidt_spectrum(wam: WeightedAmplitudeMatrix) -> np.ndarray:
+def _schmidt_spectrum(g: np.ndarray) -> np.ndarray:
     """Schmidt weights, descending, from a pivoted Cholesky factor of G.
 
     Diagonally pivoted Cholesky (Higham, in Reliable Numerical Computation,
@@ -313,7 +321,6 @@ def _schmidt_spectrum(wam: WeightedAmplitudeMatrix) -> np.ndarray:
     and the weights dropped by the stop sum to exactly that. The weights
     past r are zero, so the spectrum keeps its length n.
     """
-    g = wam.gram
     n = g.shape[0]
     d = g.diagonal().real.copy()  # diagonal of the Schur complement S
     stop = 4.0 * np.finfo(float).eps * d.sum()
@@ -344,15 +351,21 @@ _SPECTRUM_HEAD = 128
 class PurityReport:
     """Result of an adaptive purity computation.
 
-    ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error`` is
-    the last successive relative difference, NaN when only one grid ran. For
-    out-state reports the branch fields are populated and
-    ``purity = purity_tra + purity_ref``. ``schmidt_spectrum`` holds one
-    weight per row of the final grid's Gram matrix, descending; the weights
-    past its numerical rank are exact zeros, and the others are low by at
-    most 4 eps (pivoted Cholesky, see :func:`purity_from_matrix`). It is
-    None when the computation ran with ``spectrum=False``, which skips the
-    factorization of the final grid and leaves every other field unchanged.
+    ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error``
+    is the estimated relative error of ``purity``, NaN when only one grid
+    ran, and ``converged`` says it met rel_tol before the node caps. For one
+    ladder the estimate is the last successive relative difference. For
+    out-state reports the branch fields are populated,
+    ``purity = purity_tra + purity_ref``, ``refinements`` lists the
+    transmitted levels and then the reflected ones, and the estimate is the
+    total's (see :func:`purity_out`), while ``tra_report`` and
+    ``ref_report`` keep each branch's own difference and ``converged``. ``schmidt_spectrum`` holds
+    one weight per row of the final grid's Gram matrix, descending; the
+    weights past its numerical rank are exact zeros, and the others are low
+    by at most 4 eps (pivoted Cholesky, see :func:`purity_from_matrix`). It
+    is None when the computation ran with ``spectrum=False``, which skips
+    the factorization of the final grid and leaves every other field
+    unchanged.
     """
 
     purity: float
@@ -423,6 +436,107 @@ def check_ladder(rel_tol: float, base_n: NPair, n_cap: NPair) -> None:
             raise ValueError(f"n_cap for {axis} = {cap} below base_n = {n0}")
 
 
+class _Ladder:
+    """One wave function's refinement ladder, holding only its last level.
+
+    ``d_purity`` and ``d_norm`` are the changes into the last level (NaN
+    after the first). Samples A are held only while the ladder is the one
+    being refined: :meth:`settle` reduces the level to what the report reads
+    of it (the oob weight and, for a spectrum, the Gram matrix G), and a
+    ladder drops its A before it samples the next level.
+    """
+
+    def __init__(self, wavefn, grid: GridSpec, n_cap: NPair, spectrum: bool) -> None:
+        self.wavefn, self.grid, self.caps, self.spectrum = wavefn, grid, _as_pair(n_cap), spectrum
+        self.trace = []
+        self.purity = self.norm_sq = self.d_purity = self.d_norm = float("nan")
+        self.wam = self.gram = self.oob = None
+
+    def sample(self) -> None:
+        self.wam = None
+        wam = discretize(self.wavefn, self.grid)
+        purity, _ = purity_from_matrix(wam, spectrum=False)
+        self.d_purity, self.d_norm = purity - self.purity, wam.norm_sq - self.norm_sq
+        self.purity, self.norm_sq, self.wam = purity, wam.norm_sq, wam
+        self.trace.append((self.grid.n1, self.grid.n2, purity))
+
+    def can_double(self) -> bool:
+        return self.grid.doubled(*self.caps) != self.grid
+
+    def settle(self) -> None:
+        wam, self.wam = self.wam, None
+        if wam is None:
+            return
+        oob_fn = getattr(self.wavefn, "incident_oob_mask", None)
+        if oob_fn is not None:
+            mask = oob_fn(wam.nodes1[:, None], wam.nodes2[None, :])
+            self.oob = float(np.sum(np.abs(wam.a[mask]) ** 2) / wam.norm_sq)
+        if self.spectrum:
+            self.gram = wam.gram
+
+    def report(self, rel_tol: float) -> PurityReport:
+        """This ladder alone, judged by its own last relative difference."""
+        err = abs(self.d_purity) / self.purity
+        return PurityReport(
+            purity=self.purity,
+            schmidt_spectrum=_schmidt_spectrum(self.gram) if self.spectrum else None,
+            grid_n=(self.grid.n1, self.grid.n2),
+            refinement_error=err,
+            converged=err <= rel_tol,
+            norm_sq=self.norm_sq,
+            refinements=tuple(self.trace),
+            oob_weight=self.oob,
+        )
+
+
+def _weights(ladders: Sequence[_Ladder]) -> list:
+    """Each ladder's share of the total norm, the last one taken as the rest."""
+    total = sum(lad.norm_sq for lad in ladders)
+    w = [lad.norm_sq / total for lad in ladders[:-1]]
+    return w + [1.0 - sum(w)]
+
+
+def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
+    """Refine sampled ladders until the total sum(w^2 p) meets rel_tol.
+
+    The error estimate of the total P = sum_b w_b^2 p_b, with w_b = n_b / N
+    and N = sum_b n_b, sums each ladder's share
+    (w_b^2 |dp_b| + 2 |w_b p_b - P| |dn_b| / N) / P: the change of its
+    purity and, through the weights, of its norm, dP/dn_b being
+    2 (w_b p_b - P) / N. Absolute values are summed, so changes that cancel
+    cannot stop the refinement. While the estimate exceeds rel_tol, the
+    ladder with the largest share that is still below its node caps
+    doubles its grid; a ladder with one level has an unknown (NaN) share
+    and goes first. This is the global error budget of QUADPACK's ``qag``
+    (Piessens et al., 1983). With one ladder, w = 1 and the estimate is
+    |dp| / p. Returns the estimate: at most rel_tol if the total converged,
+    larger or NaN if every ladder reached its caps first. Every ladder is
+    settled on return.
+    """
+    while True:
+        w = _weights(ladders)
+        n = sum(lad.norm_sq for lad in ladders)
+        total = sum(wb**2 * lad.purity for wb, lad in zip(w, ladders))
+        shares = [
+            (wb**2 * abs(lad.d_purity) + 2.0 * abs(wb * lad.purity - total) * abs(lad.d_norm) / n)
+            / total
+            for wb, lad in zip(w, ladders)
+        ]
+        est = sum(shares)
+        open_ = [i for i, lad in enumerate(ladders) if lad.can_double()]
+        if est <= rel_tol or not open_:
+            break
+        i = max(open_, key=lambda i: np.inf if np.isnan(shares[i]) else shares[i])
+        for lad in ladders:
+            if lad is not ladders[i]:
+                lad.settle()
+        ladders[i].grid = ladders[i].grid.doubled(*ladders[i].caps)
+        ladders[i].sample()
+    for lad in ladders:
+        lad.settle()
+    return est
+
+
 def purity_adaptive(
     wavefn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridSpec,
@@ -436,45 +550,14 @@ def purity_adaptive(
     by :func:`check_ladder`. If the per-axis node caps are hit first, the
     last result is returned with ``converged = False``. The Schmidt
     spectrum of the final grid is computed only if ``spectrum`` is true.
+    This is the one-ladder case of the refinement that :func:`purity_out`
+    runs on two.
     """
     check_ladder(rel_tol, (grid.n1, grid.n2), n_cap)
-    cap1, cap2 = _as_pair(n_cap)
-
-    trace = []
-    prev: Optional[float] = None
-    err = float("nan")
-    converged = False
-    while True:
-        wam = discretize(wavefn, grid)
-        purity, _ = purity_from_matrix(wam, spectrum=False)
-        trace.append((grid.n1, grid.n2, purity))
-        if prev is not None:
-            err = abs(purity - prev) / max(abs(purity), 1e-300)
-            if err <= rel_tol:
-                converged = True
-                break
-        nxt = grid.doubled(cap1, cap2)
-        if nxt == grid:
-            break
-        prev = purity
-        grid = nxt
-
-    oob = None
-    oob_fn = getattr(wavefn, "incident_oob_mask", None)
-    if oob_fn is not None:
-        mask = oob_fn(wam.nodes1[:, None], wam.nodes2[None, :])
-        oob = float(np.sum(np.abs(wam.a[mask]) ** 2) / wam.norm_sq)
-
-    return PurityReport(
-        purity=purity,
-        schmidt_spectrum=_schmidt_spectrum(wam) if spectrum else None,
-        grid_n=(grid.n1, grid.n2),
-        refinement_error=err,
-        converged=converged,
-        norm_sq=wam.norm_sq,
-        refinements=tuple(trace),
-        oob_weight=oob,
-    )
+    ladder = _Ladder(wavefn, grid, n_cap, spectrum)
+    ladder.sample()
+    _refine([ladder], rel_tol)
+    return ladder.report(rel_tol)
 
 
 # Window half-width in standard deviations of |phi|^2 along each axis. The
@@ -537,43 +620,49 @@ def purity_out(
 ) -> PurityReport:
     """Purity of the full out-state via the two-branch mode split.
 
-    Each branch converges on its own window; branch purities recombine as
-    w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. This drops
-    the one-particle cross terms between the branches, which matter when
-    the packets' momentum ranges overlap (see the module docstring);
-    ``converged`` means only that each branch ladder met rel_tol, and does
-    not bound those terms. The overlap |<transmitted|reflected>| samples
-    both branch wave functions through :func:`discretize` on the
-    :func:`joint_grid` of 256 x 256 nodes over +-8 sigma windows and takes
-    their weighted inner product; it is not a bound on the split's error
-    either. A branch with exactly zero weight (hard core transmission)
-    contributes nothing and is marked absent via a None sub-report; the
-    overlap is then 0.0 exactly, and no joint grid is sampled. All settings
-    are checked by :func:`check_ladder` first. With ``spectrum`` false
-    neither branch runs its final eigensolve and the report's spectra are
-    None.
+    Each branch is integrated on its own window; branch purities recombine
+    as w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. The two
+    ladders refine as one (see :func:`_refine`): the branch that carries the
+    largest share of the total's error estimate doubles its grid until the
+    estimate meets rel_tol. ``refinement_error`` is that estimate and
+    ``converged`` says it met rel_tol before the node caps; each branch's
+    sub-report keeps its own last relative difference and its own
+    ``converged``, which a branch with a small weight may leave false. The
+    split drops the one-particle cross terms between the branches, which
+    matter when the packets' momentum ranges overlap (see the module
+    docstring); ``converged`` does not bound those terms. The overlap
+    |<transmitted|reflected>| samples both branch wave functions through
+    :func:`discretize` on the :func:`joint_grid` of 256 x 256 nodes over +-8
+    sigma windows and takes their weighted inner product; it is not a bound
+    on the split's error either. A branch with exactly zero weight (hard
+    core transmission) contributes nothing and is marked absent via a None
+    sub-report; the overlap is then 0.0 exactly, and no joint grid is
+    sampled. All settings are checked by :func:`check_ladder` first. With
+    ``spectrum`` false neither branch runs its final eigensolve and the
+    report's spectra are None.
     """
     check_ladder(rel_tol, base_n, n_cap)
     tra = ModeWavefunction(Mode.TRANSMITTED, state, model)
     ref = ModeWavefunction(Mode.REFLECTED, state, model)
 
-    reports = {}
+    ladders = {}
     for name, mode_fn in (("tra", tra), ("ref", ref)):
+        for lad in ladders.values():
+            lad.settle()
+        lad = _Ladder(mode_fn, mode_grid(state, mode_fn.mode, base_n), n_cap, spectrum)
         try:
-            reports[name] = purity_adaptive(
-                mode_fn, mode_grid(state, mode_fn.mode, base_n), rel_tol, n_cap, spectrum
-            )
+            lad.sample()
         except ZeroWavefunctionError:
-            reports[name] = None
-
-    rep_t, rep_r = reports["tra"], reports["ref"]
-    if rep_t is None and rep_r is None:
+            continue
+        ladders[name] = lad
+    if not ladders:
         raise ZeroWavefunctionError("both scattering branches vanish")
 
-    n_t = rep_t.norm_sq if rep_t is not None else 0.0
-    n_r = rep_r.norm_sq if rep_r is not None else 0.0
-    w_t = n_t / (n_t + n_r)
-    w_r = 1.0 - w_t
+    sampled = list(ladders.values())
+    est = _refine(sampled, rel_tol)
+    weights = dict(zip(ladders, _weights(sampled)))
+    w_t, w_r = weights.get("tra", 0.0), weights.get("ref", 0.0)
+    rep_t, rep_r = (ladders[b].report(rel_tol) if b in ladders else None for b in ("tra", "ref"))
 
     purity_tra = w_t**2 * (rep_t.purity if rep_t is not None else 0.0)
     purity_ref = w_r**2 * (rep_r.purity if rep_r is not None else 0.0)
@@ -597,9 +686,9 @@ def purity_out(
             max(r.grid_n[0] for r in live),
             max(r.grid_n[1] for r in live),
         ),
-        refinement_error=max(r.refinement_error for r in live),
-        converged=all(r.converged for r in live),
-        norm_sq=n_t + n_r,
+        refinement_error=est,
+        converged=est <= rel_tol,
+        norm_sq=sum(r.norm_sq for r in live),
         refinements=tuple(tr for r in live for tr in r.refinements),
         oob_weight=max(r.oob_weight for r in live),
         purity_tra=purity_tra,

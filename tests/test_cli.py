@@ -200,7 +200,7 @@ def test_sweep_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
     expected = capsys.readouterr().out
     assert "Error" not in expected  # every row computed, so the error column is empty
 
-    def no_eigensolve(wam):
+    def no_eigensolve(g):
         raise AssertionError("the sweep asked for a Schmidt spectrum")
 
     monkeypatch.setattr(purity, "_schmidt_spectrum", no_eigensolve)

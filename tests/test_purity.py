@@ -515,6 +515,108 @@ def test_mode_split_matches_the_joint_grid_where_the_packets_overlap():
     assert abs(rep.purity - joint.purity) <= 1e-6 * joint.purity
 
 
+class _StubLadder:
+    """A sampled ladder at its node caps, with given last changes."""
+
+    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0):
+        self.norm_sq, self.purity, self.d_purity, self.d_norm = norm_sq, purity, d_purity, d_norm
+
+    def can_double(self):
+        return False
+
+    def settle(self):
+        pass
+
+
+def test_branch_changes_that_cancel_keep_the_estimate_up():
+    # w_t = w_r = 1/2, so the total P = (0.4 + 0.6) / 4 = 0.25 does not move
+    # when p_t rises by 1e-4 and p_r falls by as much
+    ladders = [_StubLadder(0.5, 0.4, 1e-4), _StubLadder(0.5, 0.6, -1e-4)]
+    est = purity_module._refine(ladders, 1e-5)
+    assert est == pytest.approx(2 * 0.25 * 1e-4 / 0.25, rel=1e-12)
+    assert est > 1e-5
+    # a norm change enters through the weights, 2 |w_b p_b - P| |dn_b| / N
+    ladders = [_StubLadder(0.5, 0.4, 0.0, 1e-4), _StubLadder(0.5, 0.6, 0.0, -1e-4)]
+    est = purity_module._refine(ladders, 1e-5)
+    assert est == pytest.approx(2 * 2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
+
+
+def test_a_small_branch_stops_short_of_its_own_tolerance():
+    # criterion 10's sigma1 = k/10 point below the resonance: the transmitted
+    # branch carries under 1e-3 of the total, so the total converges while
+    # the transmitted ladder's own difference is still above rel_tol
+    k = find_resonances(BLOCK_DD, (0.01, 1.0), 1)[0] - 0.033
+    st = GaussianInState(k=k, sigma1=k / 10, sigma2=k / 20, masses=BLOCK_MASSES)
+    rep = purity_out(st, BLOCK_DD, rel_tol=1e-5, base_n=(128, 64), n_cap=(4096, 1024))
+    assert rep.converged
+    assert rep.refinement_error <= 1e-5
+    assert rep.purity_tra < 1e-3 * rep.purity
+    assert not rep.tra_report.converged
+    assert rep.tra_report.refinement_error > 1e-5
+
+
+# 2048^2 split totals w_t^2 p_t + w_r^2 p_r of two rows of ROADMAP.md's
+# reference sweep: each branch sampled once by discretize on its
+# mode_grid(state, mode, 2048), purity_from_matrix per branch, weights
+# w_t = n_t / (n_t + n_r) and w_r = 1 - w_t
+REFERENCE_ROWS = {
+    6: 0.47648867366049713,  # k = 0.193b: the transmitted ladder's own difference is 1.9e-2 at 1024^2
+    8: 0.46731894915905287,  # k = 0.241b: the row whose 1024-node error is largest
+}
+
+
+@pytest.mark.parametrize("row", REFERENCE_ROWS)
+def test_reference_rows_converge_within_rel_tol_of_the_fine_total(row):
+    mp = MassPartition(0.2)
+    alpha = 6.25
+    model = AmplitudeModel.double_dirac_delta(alpha, 10.0 / (mp.mu_red * alpha), mp)
+    k = float(np.linspace(0.05, 0.6, 24)[row]) * model.strength_scale
+    st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=mp)
+    rep = purity_out(st, model, rel_tol=1e-5, base_n=64, n_cap=1024, spectrum=False)
+    assert rep.converged
+    fine = REFERENCE_ROWS[row]
+    assert abs(rep.purity - fine) <= 1e-5 * fine
+
+
+def test_hard_core_out_ladder_is_unchanged_bitwise():
+    # the tilted light_points corner, pinned before the two branch ladders
+    # were refined as one: one live branch, so w = 1 and the total's estimate
+    # is the reflected ladder's own difference
+    rep = purity_out(TILTED, AmplitudeModel.hard_core(TILTED.masses), rel_tol=1e-6)
+    assert rep.tra_report is None
+    assert rep.refinements == (
+        (64, 64, 0.11351052928953397),
+        (128, 128, 0.1149279803823219),
+        (256, 256, 0.11532444400493236),
+        (512, 512, 0.11532444400535226),
+    )
+    assert rep.purity == 0.11532444400535226
+    assert rep.refinement_error == 3.641034035087602e-12
+    assert rep.refinement_error == rep.ref_report.refinement_error
+    assert rep.converged
+    assert rep.norm_sq == 0.9999999999999925
+    assert rep.oob_weight == 0.00010683714508403628
+
+
+def test_a_branch_not_being_refined_keeps_no_samples():
+    # criterion 10's w5 + 0.018 point with both branches capped at 1024 x 512
+    kw = dict(rel_tol=1e-5, base_n=(128, 64), n_cap=(1024, 512), spectrum=False)
+    rep = purity_out(BLOCK_STATE, BLOCK_DD, **kw)  # node sets cached outside the measurement
+    assert rep.tra_report.grid_n == rep.ref_report.grid_n == (1024, 512)
+    a_bytes = 16 * 1024 * 512
+    tracemalloc.start()
+    try:
+        purity_out(BLOCK_STATE, BLOCK_DD, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the last level's A, its conjugated copy in the Gram product and the
+    # 512^2 G peak at 2.56 x a_bytes here; the parent commit, whose branch
+    # ladders ran one after the other, peaked at 2.56 x a_bytes too, and a
+    # ladder that kept its A while the other branch sampled reached 4.0 x
+    assert peak <= 3 * a_bytes
+
+
 def test_hard_core_out_is_a_pure_reflection():
     st = make_state(mu1=0.3, s1=0.06, s2=0.102)
     rep = purity_out(st, AmplitudeModel.hard_core(st.masses), rel_tol=1e-8)
