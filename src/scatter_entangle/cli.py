@@ -279,14 +279,28 @@ REFLECTMAP_SCHEMA = {
 # --------------------------------------------------------------------------
 # config parsing
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is out of range for a double")
+    return value
+
+
 def _load_config(path: Path) -> Tuple[dict, str]:
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        # json.loads accepts NaN and Infinity, which RFC 8259 does not, and
+        # reads a number beyond a double's range, such as 1e400, as inf; no
+        # schema bound stops either downstream
+        cfg = json.loads(raw, parse_constant=_reject_constant, parse_float=_finite_float)
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -353,6 +353,11 @@ def test_validate_passes(capsys):
         lambda d: d.update(engine={"base_n": [64, 128], "n_cap": [1024, 64]}),
         lambda d: d.update(engine={"overlap_n": 48}),
         lambda d: d.update(engine={"nsig": 8.0}),  # the windows are fixed at +-8 sigma
+        # json.dumps writes NaN and Infinity, which json.loads would accept
+        lambda d: d.update(engine={"rel_tol": float("nan")}),
+        lambda d: d.update(masses={"mu1": float("nan")}),
+        lambda d: d["potential"].update(alpha=float("nan")),
+        lambda d: d["potential"].update(alpha=float("inf")),  # would be a hard wall
     ],
 )
 def test_bad_purity_configs_exit_2(tmp_path, capsys, mangle):
@@ -416,6 +421,17 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     broken.write_text("{not json")
     assert run(["purity", "--config", str(broken)]) == 2
     capsys.readouterr()
+    broken.write_bytes(b'{"masses": "\xff"}')  # not UTF-8
+    assert run(["purity", "--config", str(broken)]) == 2
+    assert "config error: config is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+    broken.write_text('{"masses": {"mu1": -Infinity}}')
+    assert run(["purity", "--config", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config is not valid JSON: -Infinity is not a JSON number\n"
+    broken.write_text('{"potential": {"kind": "delta", "alpha": 1e400}}')  # not inf
+    assert run(["purity", "--config", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config is not valid JSON: 1e400 is out of range for a double\n"
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
     assert run(["purity", "--config", str(not_an_object)]) == 2

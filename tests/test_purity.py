@@ -300,6 +300,8 @@ def test_grid_validation():
         check_ladder(1e-6, 64, [1024, 96])
     with pytest.raises(ValueError, match="n_cap for n2 = 64 below base_n = 128"):
         check_ladder(1e-6, [64, 128], (1024, 64))
+    with pytest.raises(ValueError, match="rel_tol must be at least 1e-10, got nan"):
+        check_ladder(float("nan"), 64, 1024)
 
 
 def _raise_on_constant(name):
@@ -524,9 +526,6 @@ class _StubLadder:
     def can_double(self):
         return False
 
-    def settle(self):
-        pass
-
 
 def test_branch_changes_that_cancel_keep_the_estimate_up():
     # w_t = w_r = 1/2, so the total P = (0.4 + 0.6) / 4 = 0.25 does not move
@@ -598,23 +597,34 @@ def test_hard_core_out_ladder_is_unchanged_bitwise():
     assert rep.oob_weight == 0.00010683714508403628
 
 
-def test_a_branch_not_being_refined_keeps_no_samples():
+def two_branch_peak(spectrum):
+    """tracemalloc peak of a purity_out call, in units of its last level's A."""
     # criterion 10's w5 + 0.018 point with both branches capped at 1024 x 512
-    kw = dict(rel_tol=1e-5, base_n=(128, 64), n_cap=(1024, 512), spectrum=False)
+    kw = dict(rel_tol=1e-5, base_n=(128, 64), n_cap=(1024, 512), spectrum=spectrum)
     rep = purity_out(BLOCK_STATE, BLOCK_DD, **kw)  # node sets cached outside the measurement
     assert rep.tra_report.grid_n == rep.ref_report.grid_n == (1024, 512)
-    a_bytes = 16 * 1024 * 512
     tracemalloc.start()
     try:
         purity_out(BLOCK_STATE, BLOCK_DD, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak / (16 * 1024 * 512)
+
+
+def test_a_branch_not_being_refined_keeps_no_samples():
     # the last level's A, its conjugated copy in the Gram product and the
-    # 512^2 G peak at 2.56 x a_bytes here; the parent commit, whose branch
-    # ladders ran one after the other, peaked at 2.56 x a_bytes too, and a
-    # ladder that kept its A while the other branch sampled reached 4.0 x
-    assert peak <= 3 * a_bytes
+    # 512^2 G peak at 2.56 x A's bytes here, as when the two branch ladders
+    # ran one after the other; a ladder that kept its A while the other
+    # branch sampled reached 4.0 x
+    assert two_branch_peak(spectrum=False) <= 3.0
+
+
+def test_a_ladder_drops_its_gram_matrix_before_the_next_level():
+    # with a spectrum each ladder keeps its last G: the other branch's 512^2
+    # G adds 0.5 x, for 3.02 x in all, and a ladder that kept its previous
+    # level's G while it sampled the next one reached 3.14 x
+    assert two_branch_peak(spectrum=True) <= 3.1
 
 
 def test_hard_core_out_is_a_pure_reflection():
