@@ -1,9 +1,11 @@
 """Transmission/reflection amplitudes t(q), r(q) for 1D potentials.
 
 Every potential is a chain of point scatterers, stored as (|alpha|, x) pairs
-sorted by position: none for the impenetrable core, one at the origin for
-the single Dirac delta, two at -a and +a for the symmetric double delta, any
-number for a composite. Conventions:
+sorted by position, and is nothing else: none for the impenetrable core, one
+at the origin for the single Dirac delta, two equal strengths at -a and +a
+for the symmetric double delta, any other layout for a composite. The kind
+is read off the layout, so the named potentials are shorthand for their
+scatterer lists. Conventions:
 
 * q is the incident relative momentum and must be positive. The models are
   even under q -> -q; callers that need amplitudes on the outgoing branch
@@ -11,9 +13,10 @@ number for a composite. Conventions:
 * A point scatterer of strength alpha couples through b = mu_red * alpha
   (hbar = 1); the single delta has r = i/(x - i), t = 1 + r with x = q/b.
 * The hard core (t = 0, r = -1) and the single delta keep these closed
-  forms. A one-link transfer-matrix chain gives the same delta amplitudes
-  but costs several times more per momentum, and delta purity runs spend a
-  noticeable share of their time evaluating amplitudes.
+  forms, whatever constructor built them. A one-link transfer-matrix chain
+  gives the same delta amplitudes but costs several times more per
+  momentum, and delta purity runs spend a noticeable share of their time
+  evaluating amplitudes.
 * Double-delta and composite amplitudes come from the product of the
   scatterers' transfer matrices, which keeps |t|^2 + |r|^2 = 1 exact. The
   shortcut "r = t - 1" holds only for a single scatterer at the origin and
@@ -178,46 +181,30 @@ def _nonzero_strength(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class AmplitudeModel:
-    """A potential plus the masses it scatters, exposing amplitudes(q).
+    """A chain of point scatterers plus the masses it scatters, exposing amplitudes(q).
 
     ``scatterers`` is the tuple of (|alpha|, x) pairs of the point
-    scatterers, sorted by position; it is empty for the hard core, one at
-    x = 0 for the delta and two equal strengths at -a and +a (a > 0) for
-    the double delta. The classmethods also check the strengths.
+    scatterers, sorted by position; the model is this layout and nothing
+    else, so two models with equal scatterers and masses are equal and give
+    the same amplitudes to the last bit. Its :attr:`kind` is read off the
+    layout and picks the evaluation. The classmethods build the paper's
+    potentials and check their arguments; direct construction checks none.
     """
 
-    kind: PotentialKind
     masses: MassPartition
     scatterers: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        norm = tuple(
-            sorted(((abs(s), float(x)) for s, x in self.scatterers), key=lambda sx: sx[1])
-        )
-        if (self.kind is PotentialKind.HARD_CORE) == bool(norm):
-            raise ValueError(
-                "the hard core takes no scatterers; every other kind needs at least one"
-            )
-        # the delta's closed form and find_resonances assume these layouts
-        if self.kind is PotentialKind.DIRAC_DELTA and [x for _, x in norm] != [0.0]:
-            raise ValueError(f"a single delta is one scatterer at x = 0, got {norm}")
-        if self.kind is PotentialKind.DOUBLE_DIRAC_DELTA and not (
-            len(norm) == 2 and norm[0][0] == norm[1][0] and -norm[0][1] == norm[1][1] > 0.0
-        ):
-            raise ValueError(f"a double delta is two equal strengths at -a and +a, got {norm}")
-        object.__setattr__(self, "scatterers", norm)
+        norm = sorted(((abs(s), float(x)) for s, x in self.scatterers), key=lambda sx: sx[1])
+        object.__setattr__(self, "scatterers", tuple(norm))
 
     @classmethod
     def hard_core(cls, masses: MassPartition) -> "AmplitudeModel":
-        return cls(kind=PotentialKind.HARD_CORE, masses=masses)
+        return cls(masses)
 
     @classmethod
     def dirac_delta(cls, alpha: float, masses: MassPartition) -> "AmplitudeModel":
-        return cls(
-            kind=PotentialKind.DIRAC_DELTA,
-            masses=masses,
-            scatterers=((_nonzero_strength(alpha), 0.0),),
-        )
+        return cls(masses, ((_nonzero_strength(alpha), 0.0),))
 
     @classmethod
     def double_dirac_delta(
@@ -226,17 +213,29 @@ class AmplitudeModel:
         s = _nonzero_strength(alpha)
         if not half_separation > 0.0:
             raise ValueError("double delta needs a positive half separation")
-        return cls(
-            kind=PotentialKind.DOUBLE_DIRAC_DELTA,
-            masses=masses,
-            scatterers=((s, -half_separation), (s, half_separation)),
-        )
+        return cls(masses, ((s, -half_separation), (s, half_separation)))
 
     @classmethod
     def composite(
         cls, scatterers: Sequence[Tuple[float, float]], masses: MassPartition
     ) -> "AmplitudeModel":
-        return cls(kind=PotentialKind.COMPOSITE, masses=masses, scatterers=tuple(scatterers))
+        if not scatterers:
+            raise ValueError("a composite chain needs at least one scatterer")
+        return cls(masses, tuple(scatterers))
+
+    @property
+    def kind(self) -> PotentialKind:
+        """The potential this layout is: no scatterers is the hard core, one
+        positive strength at x = 0 the delta, two equal positive strengths at
+        -a and +a (a > 0) the double delta, and anything else a composite."""
+        s = self.scatterers
+        if not s:
+            return PotentialKind.HARD_CORE
+        if len(s) == 1 and s[0][0] > 0.0 and s[0][1] == 0.0:
+            return PotentialKind.DIRAC_DELTA
+        if len(s) == 2 and s[0][0] == s[1][0] > 0.0 and -s[0][1] == s[1][1] > 0.0:
+            return PotentialKind.DOUBLE_DIRAC_DELTA
+        return PotentialKind.COMPOSITE
 
     @property
     def alpha(self) -> float:
@@ -294,7 +293,7 @@ def find_resonances(
     # lazy: only this needs scipy.optimize, most of the package's import time
     from scipy.optimize import brentq
 
-    a = model.scatterers[1][1]  # the layout is (-a, +a), checked by the model
+    a = model.scatterers[1][1]  # the double delta's layout is (-a, +a)
     b = model.strength_scale
 
     def h(q):

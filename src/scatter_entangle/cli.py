@@ -8,6 +8,10 @@ order regardless of --workers, and newlines are always "\\n".
 The layer is thin: configs become library objects, and the engine validates
 its own settings (purity.check_ladder), which the CLI runs once before any
 work so that a bad engine config exits 2 instead of failing row by row.
+Every input that changes a computed number, the engine's rel_tol included,
+comes from the config, whose SHA-256 every output carries; the flags
+(--out, --strict, --workers) only route the output, set the exit code or
+spread rows over threads.
 
 Exit codes: 0 success; 1 failed self checks, an internal consistency abort
 or a defect (an unexpected exception, with its traceback); 2 config errors;
@@ -387,15 +391,13 @@ def _state_from(
 _ENGINE_DEFAULTS = {"rel_tol": 1e-6, "base_n": 64, "n_cap": 1024}
 
 
-def _engine_from(cfg: dict, rel_tol_override: Optional[float]) -> dict:
-    """Keyword arguments of purity_out: defaults, then $.engine, then --rel-tol."""
+def _engine_from(cfg: dict) -> dict:
+    """Keyword arguments of purity_out: the defaults, overridden by $.engine.
+
+    The config is the only source, so the config's SHA-256 in the output
+    pins every setting.
+    """
     eng = {**_ENGINE_DEFAULTS, **cfg.get("engine", {})}
-    if rel_tol_override is not None:
-        bounds = _ENGINE["properties"]["rel_tol"]
-        lo, hi = bounds["minimum"], bounds["maximum"]
-        if not lo <= rel_tol_override <= hi:
-            raise ConfigError(f"--rel-tol out of range [{lo}, {hi}]: {rel_tol_override}")
-        eng["rel_tol"] = rel_tol_override
     try:
         check_ladder(**eng)
     except ValueError as exc:
@@ -498,14 +500,12 @@ def _approximations(model: AmplitudeModel, state: GaussianInState) -> dict:
     }
 
 
-def cmd_purity(
-    cfg: dict, sha: str, out: Optional[Path], rel_tol: Optional[float], strict: bool
-) -> int:
+def cmd_purity(cfg: dict, sha: str, out: Optional[Path], strict: bool) -> int:
     _check_schema(cfg, PURITY_SCHEMA)
     mp = _masses_from(cfg)
     model = _potential_from(cfg, mp)
     state = _state_from(cfg["state"], mp, model)
-    eng = _engine_from(cfg, rel_tol)
+    eng = _engine_from(cfg)
 
     if model is None:
         report = purity_adaptive(
@@ -615,21 +615,14 @@ def _sweep_point(
     return row
 
 
-def cmd_sweep(
-    cfg: dict,
-    sha: str,
-    out: Optional[Path],
-    workers: int,
-    rel_tol: Optional[float],
-    strict: bool,
-) -> int:
+def cmd_sweep(cfg: dict, sha: str, out: Optional[Path], workers: int, strict: bool) -> int:
     _check_schema(cfg, SWEEP_SCHEMA)
     mp = _masses_from(cfg)
     model = _potential_from(cfg, mp)
     unit = cfg["k_axis"].get("unit", "absolute")
     scale = _momentum_scale(unit, model)
     k_axis = _axis_values(cfg["k_axis"])
-    point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg, rel_tol))
+    point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg))
     ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -702,17 +695,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_engine=False):
+    # no flag changes what a run computes: that is the config's alone
+    def add_common(sp, with_strict=False):
         sp.add_argument("--config", required=True, type=Path, help="JSON config file")
         sp.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
-        if with_engine:
+        if with_strict:
             sp.add_argument(
-                "--rel-tol", type=float, default=None, help="override engine rel_tol"
-            )
-            sp.add_argument(
-                "--strict",
-                action="store_true",
-                help="exit 3 if any quadrature fails to converge",
+                "--strict", action="store_true", help="exit 3 if any quadrature fails to converge"
             )
 
     add_common(sub.add_parser("amplitudes", help="t(q), r(q) table as CSV"))
@@ -740,9 +729,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "amplitudes":
             return cmd_amplitudes(cfg, sha, args.out)
         if args.command == "purity":
-            return cmd_purity(cfg, sha, args.out, args.rel_tol, args.strict)
+            return cmd_purity(cfg, sha, args.out, args.strict)
         if args.command == "sweep":
-            return cmd_sweep(cfg, sha, args.out, args.workers, args.rel_tol, args.strict)
+            return cmd_sweep(cfg, sha, args.out, args.workers, args.strict)
         return cmd_reflectmap(cfg, sha, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

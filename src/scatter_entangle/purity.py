@@ -15,11 +15,13 @@ caller asks for it (``spectrum=True``, the default); the CLI sweep prints no
 spectrum and does not ask for it. It comes from a diagonally pivoted
 Cholesky factorization G = L L^H + S, stopped once Tr S <= 4 eps Tr G, and
 one eigensolve of the r x r matrix L^H L, where r is G's numerical rank
-(116 to 258 of 1024 on the criterion-10 grids). Each weight is then low by
-at most Tr S / Tr G <= 4 eps, below the roundoff of a dense eigensolve; the
-weights past r are reported as zeros, so the spectrum keeps length n. At
-full rank the factorization is the slower route: 0.65-0.76 s against
-0.25-0.33 s for a dense ``eigvalsh`` at n = 1024 (2-core x86-64, OpenBLAS).
+(on the criterion-10 branches, 244 to 259 for the four final G that are
+1024 wide and 3 to 142 for the other 44, 128 to 512 wide). Each weight is
+then low by at most Tr S / Tr G <= 4 eps, below the roundoff of a dense
+eigensolve; the weights past r are reported as zeros, so the spectrum
+keeps length n. At full rank the factorization is the slower route:
+0.65-0.76 s against 0.25-0.33 s for a dense ``eigvalsh`` at n = 1024
+(2-core x86-64, OpenBLAS).
 
 A is sampled in blocks of whole rows, about 2^15 nodes each, written into
 one preallocated array, so the wave function's temporaries stay in cache
@@ -101,7 +103,8 @@ NPair = Union[int, Sequence[int]]
 
 
 class ZeroWavefunctionError(ValueError):
-    """The sampled wave function vanished identically on the grid."""
+    """The sampled wave function vanished on the grid: its squared norm is
+    zero, or so small that its square underflows the normal doubles."""
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,8 @@ _BLOCK_NODES = 1 << 15
 # is subnormal. The package's wave functions are normalized, so their
 # weighted samples peak far above it; a matrix that peaks below 2^-256
 # would already lose ||G||_F^2 to underflow.
-_FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
+_TINY = float(np.finfo(float).tiny)
+_FLUSH_BELOW = float(np.sqrt(_TINY))
 
 
 def discretize(
@@ -295,10 +299,15 @@ def purity_from_matrix(
     exact zeros. Checked in the test suite against the singular values of
     A, a dense eigensolve of G and an O(N^4) direct contraction of the
     purity integral.
+
+    Raises :class:`ZeroWavefunctionError` once Tr(G)^2 falls below the
+    smallest normal double (Tr(G) below 1.5e-154): ||G||_F^2 <= Tr(G)^2 is
+    then subnormal or zero, and the purity loses digits (4e-6 relative at
+    Tr(G) = 1e-158) or is 0/0.
     """
     norm_sq = wam.norm_sq
-    if norm_sq == 0.0:
-        raise ZeroWavefunctionError("wave function vanishes on the entire grid")
+    if norm_sq**2 < _TINY:
+        raise ZeroWavefunctionError(f"wave function vanishes (squared norm {norm_sq:.3g})")
     purity = float(np.sum(np.abs(wam.gram) ** 2)) / norm_sq**2
     return purity, _schmidt_spectrum(wam.gram) if spectrum else None
 
@@ -621,12 +630,14 @@ def purity_out(
     |<transmitted|reflected>| samples both branch wave functions through
     :func:`discretize` on the :func:`joint_grid` of 256 x 256 nodes over +-8
     sigma windows and takes their weighted inner product; it is not a bound
-    on the split's error either. A branch with exactly zero weight (hard
-    core transmission) contributes nothing and is marked absent via a None
-    sub-report; the overlap is then 0.0 exactly, and no joint grid is
-    sampled. All settings are checked by :func:`check_ladder` first. With
-    ``spectrum`` false neither branch runs its final eigensolve and the
-    report's spectra are None.
+    on the split's error either. A branch that vanishes in the sense of
+    :func:`purity_from_matrix` (the hard core's transmission, or a weight
+    below 1.5e-154, whose share w^2 p of the total lies far below roundoff)
+    contributes nothing and is marked absent via a None sub-report; the
+    overlap is then 0.0 exactly, and no joint grid is sampled. All settings
+    are checked by :func:`check_ladder` first. With ``spectrum`` false
+    neither branch runs its final eigensolve and the report's spectra are
+    None.
     """
     check_ladder(rel_tol, base_n, n_cap)
     ladders = {}

@@ -1,10 +1,11 @@
 """Self-check suite: invariants the physics guarantees, run on demand.
 
 Each check returns a :class:`CheckResult` with a residual-style detail
-string. The suite is deliberately fast (tens of seconds) and covers the
-ground truth the package rests on: unitarity, the reflection involution,
-closed-form agreement, mode additivity, and invariance of the
-centre-of-mass/relative purity under scattering.
+string. The suite is deliberately fast (``scatter-entangle validate``
+takes about 1.5 s on a 2-core x86-64 machine, 0.6 s of it in the checks)
+and covers the ground truth the package rests on: unitarity, the
+reflection involution, closed-form agreement, mode additivity, and
+invariance of the centre-of-mass/relative purity under scattering.
 """
 
 from __future__ import annotations

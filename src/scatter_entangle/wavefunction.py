@@ -55,6 +55,13 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
+# k and the widths must lie in this range. At its foot their squares are
+# normal doubles. At its top the largest momentum difference an envelope
+# squares stays below sqrt(max): the joint grid spans both lobes, under 20 k
+# from either center, and the reflected modes map it through the reflection
+# map, whose rows have norm at most sqrt(5), so no difference exceeds 64 k.
+_SCALES = (float(np.sqrt(np.finfo(float).tiny)), float(np.sqrt(np.finfo(float).max)) / 64.0)
+
 
 class IncomingnessWarning(UserWarning):
     """Momentum spread large enough that the state is not cleanly incoming."""
@@ -66,7 +73,9 @@ class GaussianInState:
 
     ``a1``/``a2`` are initial positions and only contribute phases; every
     purity computed from this state is independent of them. States with
-    max(sigma)/k >= 1 are rejected (the packet would straddle q = 0); a
+    max(sigma)/k >= 1 are rejected (the packet would straddle q = 0), and so
+    are a k or widths outside about 1.5e-154 to 2.1e152, where the squares
+    the Gaussians take would underflow the normal doubles or overflow; a
     warning is raised above max(sigma)/k = 1/3.
     """
 
@@ -83,6 +92,13 @@ class GaussianInState:
         if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
             raise ValueError(
                 f"momentum widths must be positive, got ({self.sigma1}, {self.sigma2})"
+            )
+        lo, hi = _SCALES
+        scales = (self.k, self.sigma1, self.sigma2)
+        if not all(lo <= v <= hi for v in scales):
+            raise ValueError(
+                f"k, sigma1 and sigma2 must lie in [{lo:.3g}, {hi:.3g}], where the "
+                f"Gaussians' squares are normal doubles, got {scales}"
             )
         ratio = max(self.sigma1, self.sigma2) / self.k
         if ratio >= 1.0:

@@ -77,12 +77,27 @@ def test_masses_enter_through_reduced_mass_only():
     np.testing.assert_allclose(r1, r2, rtol=1e-15)
 
 
-def test_point_scatterer_at_origin_matches_delta():
+@pytest.mark.parametrize("x", [0.7, -2.3, 13.0])
+def test_point_scatterer_off_origin_is_a_shifted_delta(x):
+    # a one-link chain, checked against the closed form: moving the delta to
+    # x keeps t and multiplies r by exp(-2iqx)
     q = np.linspace(0.02, 5.0, 200)
-    t_chain, r_chain = AmplitudeModel.composite([(0.9, 0.0)], MP).amplitudes(q)
+    model = AmplitudeModel.composite([(0.9, x)], MP)
+    assert model.kind is PotentialKind.COMPOSITE
+    t_chain, r_chain = model.amplitudes(q)
     t_d, r_d = delta_amplitudes(q, 0.9, MP)
     np.testing.assert_allclose(t_chain, t_d, atol=1e-14)
-    np.testing.assert_allclose(r_chain, r_d, atol=1e-14)
+    np.testing.assert_allclose(r_chain, r_d * np.exp(-2j * q * x), atol=1e-14)
+
+
+def test_point_scatterer_at_origin_matches_delta():
+    q = np.linspace(0.02, 5.0, 200)
+    chain = AmplitudeModel.composite([(0.9, 0.0)], MP)
+    delta = AmplitudeModel.dirac_delta(0.9, MP)
+    assert chain == delta
+    assert chain.kind is PotentialKind.DIRAC_DELTA
+    for got, want in zip(chain.amplitudes(q), delta_amplitudes(q, 0.9, MP)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_zero_strength_gives_identity_matrix():
@@ -182,25 +197,33 @@ def test_model_normalizes_attractive_strength():
 
 
 @pytest.mark.parametrize(
-    "kind, scatterers",
+    "scatterers, kind",
     [
-        (PotentialKind.DIRAC_DELTA, ((1.0, 2.0),)),  # off the origin
-        (PotentialKind.DIRAC_DELTA, ((1.0, 0.0), (1.0, 1.0))),
-        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, -0.5), (2.0, 0.5))),  # unequal
-        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, -0.5), (1.0, 0.7))),  # off-center
-        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, 0.0), (1.0, 0.0))),  # a = 0
-        (PotentialKind.DOUBLE_DIRAC_DELTA, ((1.0, 0.0),)),
+        ((), PotentialKind.HARD_CORE),
+        (((2.0, 0.0),), PotentialKind.DIRAC_DELTA),
+        (((-2.0, -0.0),), PotentialKind.DIRAC_DELTA),  # attractive, signed zero
+        (((1.0, 2.0),), PotentialKind.COMPOSITE),  # off the origin
+        (((0.0, 0.0),), PotentialKind.COMPOSITE),  # zero strength
+        (((1.3, 0.9), (-1.3, -0.9)), PotentialKind.DOUBLE_DIRAC_DELTA),
+        (((1.0, 0.0), (1.0, 1.0)), PotentialKind.COMPOSITE),
+        (((1.0, -0.5), (2.0, 0.5)), PotentialKind.COMPOSITE),  # unequal
+        (((1.0, -0.5), (1.0, 0.7)), PotentialKind.COMPOSITE),  # off-center
+        (((1.0, 0.0), (1.0, 0.0)), PotentialKind.COMPOSITE),  # a = 0
+        (((0.0, -0.5), (0.0, 0.5)), PotentialKind.COMPOSITE),  # zero strengths
+        (((1.0, -0.5), (1.0, 0.0), (1.0, 0.5)), PotentialKind.COMPOSITE),
     ],
 )
-def test_direct_construction_rejects_layouts_the_kind_cannot_evaluate(kind, scatterers):
-    with pytest.raises(ValueError):
-        AmplitudeModel(kind, MP, scatterers)
+def test_layout_decides_the_kind(scatterers, kind):
+    model = AmplitudeModel(MP, scatterers)
+    assert model.kind is kind
+    if scatterers:
+        assert model == AmplitudeModel.composite(scatterers, MP)
 
 
-def test_direct_construction_accepts_each_kinds_layout():
-    delta = AmplitudeModel(PotentialKind.DIRAC_DELTA, MP, ((-2.0, 0.0),))
-    assert delta == AmplitudeModel.dirac_delta(2.0, MP)
-    double = AmplitudeModel(PotentialKind.DOUBLE_DIRAC_DELTA, MP, ((1.3, 0.9), (-1.3, -0.9)))
+def test_direct_layouts_equal_the_named_potentials():
+    assert AmplitudeModel(MP) == AmplitudeModel.hard_core(MP)
+    assert AmplitudeModel(MP, ((-2.0, 0.0),)) == AmplitudeModel.dirac_delta(2.0, MP)
+    double = AmplitudeModel(MP, ((1.3, 0.9), (-1.3, -0.9)))
     assert double == AmplitudeModel.double_dirac_delta(1.3, 0.9, MP)
 
 
@@ -214,11 +237,13 @@ def test_composite_model_orders_scatterers_and_is_unitary():
 def test_composite_double_matches_dedicated_kind():
     q = np.linspace(0.05, 3.0, 64)
     dd = AmplitudeModel.double_dirac_delta(1.3, 0.9, MP)
-    cc = AmplitudeModel.composite([(1.3, -0.9), (1.3, 0.9)], MP)
-    t1, r1 = dd.amplitudes(q)
-    t2, r2 = cc.amplitudes(q)
-    np.testing.assert_allclose(t1, t2, atol=1e-14)
-    np.testing.assert_allclose(r1, r2, atol=1e-14)
+    cc = AmplitudeModel.composite([(1.3, 0.9), (-1.3, -0.9)], MP)
+    assert cc == dd
+    for got, want in zip(cc.amplitudes(q), dd.amplitudes(q)):
+        np.testing.assert_array_equal(got, want)
+    roots = find_resonances(cc, (0.05, 3.0))
+    assert len(roots) > 0
+    np.testing.assert_array_equal(roots, find_resonances(dd, (0.05, 3.0)))
 
 
 class TestResonances:

@@ -11,6 +11,7 @@ import pytest
 import scatter_entangle
 from scatter_entangle import cli, purity
 from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
+from scatter_entangle.analytic import reflected_gaussian_purity
 from scatter_entangle.cli import run
 from scatter_entangle.kinematics import MassPartition
 
@@ -453,10 +454,14 @@ def test_unit_without_strength_scale_exits_2(tmp_path, capsys):
     assert "strength scale" in capsys.readouterr().err
 
 
-def test_rel_tol_override_range(tmp_path, capsys):
-    cfg = write_config(tmp_path, "pur.json", DELTA_PURITY_CFG)
-    assert run(["purity", "--config", str(cfg), "--rel-tol", "0.5"]) == 2
-    assert "--rel-tol" in capsys.readouterr().err
+@pytest.mark.parametrize("command, cfg_dict", [("purity", DELTA_PURITY_CFG), ("sweep", SWEEP_CFG)])
+def test_rel_tol_flag_is_a_usage_error(tmp_path, capsys, command, cfg_dict):
+    # the tolerance is $.engine.rel_tol alone, which the config's hash pins
+    cfg = write_config(tmp_path, "cfg.json", cfg_dict)
+    with pytest.raises(SystemExit) as usage:
+        run([command, "--config", str(cfg), "--rel-tol", "1e-2"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
 
 
 def test_double_delta_alternate_parameterization(tmp_path):
@@ -484,11 +489,11 @@ def test_double_delta_alternate_parameterization(tmp_path):
     assert outs[0] == pytest.approx(outs[1], rel=1e-12)
 
 
-def purity_payload(tmp_path, cfg_dict, *flags):
+def purity_payload(tmp_path, cfg_dict):
     """The `purity` JSON for a config, without the config's own hash."""
     cfg = write_config(tmp_path, "cfg.json", cfg_dict)
     out = tmp_path / "cfg.out"
-    assert run(["purity", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    assert run(["purity", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     del payload["config_sha256"]
     return payload
@@ -515,9 +520,44 @@ def test_individual_masses_match_mass_fraction_and_total(tmp_path):
     assert payload == purity_payload(tmp_path, by_fraction)
 
 
-def test_rel_tol_flag_overrides_the_engine_setting(tmp_path):
-    payload = purity_payload(tmp_path, FAST_DELTA_CFG, "--rel-tol", "3e-3")
-    assert payload["engine"]["rel_tol"] == 3e-3
+@pytest.mark.parametrize("k_over_b", [1e-90, 1e90])
+def test_purity_reports_the_limit_where_a_branch_is_negligible(tmp_path, k_over_b):
+    # the weak branch carries T or R below 1e-162, too little to square its norm
+    state = {"k_over_b": k_over_b, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1}
+    payload = purity_payload(tmp_path, dict(DELTA_PURITY_CFG, state=state))
+    rep = payload["report"]
+    limit = reflected_gaussian_purity(MassPartition(0.2), 0.2, 0.1) if k_over_b < 1 else 1.0
+    assert rep["converged"] is True
+    assert rep["purity"] == pytest.approx(limit, rel=payload["engine"]["rel_tol"])
+    assert ("tra" in rep, "ref" in rep) == (k_over_b > 1, k_over_b < 1)
+
+
+def test_sweep_rows_where_a_branch_is_negligible(tmp_path):
+    k_axis = {"start": 1e-150, "stop": 1e150, "num": 2, "unit": "b"}
+    cfg = write_config(tmp_path, "far.json", dict(SWEEP_CFG, k_axis=k_axis))
+    out = tmp_path / "far.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    _, cols = read_csv(out)
+    limits = [reflected_gaussian_purity(MassPartition(0.2), 0.05, 0.1), 1.0]
+    for got, want in zip(cols["purity_exact"], limits):
+        assert float(got) == pytest.approx(want, rel=SWEEP_CFG["engine"]["rel_tol"])
+    assert (cols["purity_tra"][0], cols["purity_ref"][1]) == ("0", "0")
+    assert cols["error"] == ["", ""]
+
+
+@pytest.mark.parametrize("k", [1e-170, 1e160])
+def test_a_state_beyond_the_double_range_is_rejected(tmp_path, capsys, k):
+    rejected = "k, sigma1 and sigma2 must lie in"
+    state = {"k": k, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1}
+    cfg = write_config(tmp_path, "pur.json", dict(DELTA_PURITY_CFG, state=state))
+    assert run(["purity", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: $.state: {rejected}")
+    k_axis = {"start": k, "stop": k, "num": 1}
+    cfg = write_config(tmp_path, "sweep.json", dict(SWEEP_CFG, k_axis=k_axis))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert cols["error"][0].startswith(f"ValueError: {rejected}")
 
 
 def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys):

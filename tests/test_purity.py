@@ -638,6 +638,54 @@ def test_hard_core_out_is_a_pure_reflection():
     )
 
 
+def test_hard_core_purity_holds_over_every_representable_momentum_scale():
+    # a decade scan of k: each state is rejected at construction or meets the
+    # closed form within rel_tol
+    mp = MassPartition(0.2)
+    accepted = []
+    for e in range(-200, 201):
+        k = 10.0**e
+        try:
+            st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=mp)
+        except ValueError:
+            continue
+        rep = purity_out(st, AmplitudeModel.hard_core(mp), rel_tol=1e-6)
+        want = reflected_gaussian_purity(mp, st.sigma1, st.sigma2)
+        assert rep.converged, k
+        assert rep.purity == pytest.approx(want, rel=1e-6), k
+        accepted.append(e)
+    assert accepted == list(range(-152, 153))
+
+
+@pytest.mark.parametrize("log_k_over_b", [-150, -90, -81, 81, 90, 150])
+def test_a_negligible_branch_counts_as_vanished(log_k_over_b):
+    # the weaker branch carries T or R below 1e-162: its Gram matrix cannot
+    # be squared, and the total is the limit of pure reflection or transmission
+    mp = MassPartition(0.2)
+    st = GaussianInState(k=1.0, sigma1=0.2, sigma2=0.1, masses=mp)
+    rep = purity_out(st, AmplitudeModel.dirac_delta(10.0**-log_k_over_b / mp.mu_red, mp))
+    reflects = log_k_over_b < 0
+    limit = reflected_gaussian_purity(mp, 0.2, 0.1) if reflects else 1.0
+    assert rep.converged
+    assert rep.purity == pytest.approx(limit, rel=1e-6)
+    assert (rep.tra_report is None, rep.ref_report is None) == (reflects, not reflects)
+    assert rep.overlap == 0.0
+
+
+def test_a_norm_too_small_to_square_is_rejected():
+    st = make_state()
+    grid = mode_grid(st, Mode.IN, 32)
+    purity, _ = purity_from_matrix(discretize(st, grid), spectrum=False)
+    # norm^2 near 1e-150: its square is a normal double, and the purity keeps its digits
+    small, _ = purity_from_matrix(discretize(lambda p1, p2: 1e-75 * st(p1, p2), grid), False)
+    assert small == pytest.approx(purity, rel=1e-13)
+    # norm^2 near 1e-160: its square is subnormal
+    tiny = discretize(lambda p1, p2: 1e-80 * st(p1, p2), grid)
+    assert 0.0 < tiny.norm_sq**2 < np.finfo(float).tiny
+    with pytest.raises(ZeroWavefunctionError):
+        purity_from_matrix(tiny)
+
+
 def _count_discretize(monkeypatch):
     grids = []
 

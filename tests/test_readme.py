@@ -1,7 +1,11 @@
-"""The README's Python examples must run as written."""
+"""The README's Python examples must run as written, and its configs must
+be valid for the commands they document."""
 
+import json
 import re
 from pathlib import Path
+
+from scatter_entangle import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,20 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_configs_pass_their_commands_schema():
+    # each ```json block under a command's heading is a config of that command
+    schemas = {
+        "amplitudes": cli.AMPLITUDES_SCHEMA,
+        "purity": cli.PURITY_SCHEMA,
+        "sweep": cli.SWEEP_SCHEMA,
+    }
+    sections = re.split(r"^### (\S+)\n", README.read_text(), flags=re.M)
+    checked = set()
+    for heading, body in zip(sections[1::2], sections[2::2]):
+        if heading in schemas:
+            for block in re.findall(r"```json\n(.*?)```", body, flags=re.S):
+                cli._check_schema(json.loads(block), schemas[heading])
+                checked.add(heading)
+    assert checked == set(schemas)

@@ -74,6 +74,27 @@ def test_incoming_validation():
         make_state(s1=0.2, s2=0.2)  # ratio 0.2 stays quiet
 
 
+@pytest.mark.parametrize(
+    "k, s1, s2",
+    [
+        (1e-170, 2e-171, 1e-171),  # every square underflows to zero
+        (1e-153, 2e-154, 1e-154),  # sigma2^2 is subnormal
+        (1e154, 2e153, 1e153),  # an envelope's square would overflow
+        (1e160, 2e159, 1e159),  # k^2 overflows
+        (1.0, 0.2, 1e-160),
+    ],
+)
+def test_scales_whose_squares_leave_the_normal_doubles_are_rejected(k, s1, s2):
+    with pytest.raises(ValueError, match="k, sigma1 and sigma2 must lie in"):
+        GaussianInState(k=k, sigma1=s1, sigma2=s2, masses=HEAVY2)
+
+
+def test_the_extreme_normal_scales_are_accepted():
+    for k in (1e-152, 2e152):
+        st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=HEAVY2)
+        assert np.isfinite(st(k, -k))
+
+
 def test_sigma_q_marginal_width():
     st = make_state(mu1=0.2, s1=0.07, s2=0.13)
     expect = np.sqrt((0.8 * 0.07) ** 2 + (0.2 * 0.13) ** 2)

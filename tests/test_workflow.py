@@ -1,14 +1,18 @@
-"""The CI workflow parses, its shell steps are valid bash, and its reference
-sweep runs the benchmark's reference config."""
+"""The CI workflow parses, its shell steps are valid bash, its command lines
+are valid for the CLI, and its reference sweep runs the benchmark's
+reference config."""
 
 import json
 import re
 import runpy
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from scatter_entangle import cli
 
 yaml = pytest.importorskip("yaml")
 
@@ -39,3 +43,21 @@ def test_reference_sweep_step_runs_the_benchmark_config():
     assert heredoc is not None, run
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"), run_name="bench_workloads")
     assert json.loads(heredoc.group(1)) == workloads["ReferenceSweep"].CONFIG
+
+
+def test_every_cli_line_parses(capsys):
+    lines = [
+        line.strip()
+        for step in steps()
+        for line in step.get("run", "").splitlines()
+        if line.strip().startswith("scatter-entangle ")
+    ]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line.replace("$cfg", "cfg.json"))[1:]
+        if ">" in argv:  # a shell redirection ends the command's own arguments
+            argv = argv[: argv.index(">")]
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, a usage error 2
+            assert exc.code == 0, f"{line}: {capsys.readouterr().err}"
