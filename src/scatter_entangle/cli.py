@@ -5,9 +5,13 @@ Outputs are byte-deterministic for a fixed config: CSV floats are printed
 with %.17g (17 significant digits pin a double exactly), rows keep input
 order regardless of --workers, and newlines are always "\\n".
 
-The layer is thin: configs become library objects, and the engine validates
-its own settings (purity.check_ladder), which the CLI runs once before any
-work so that a bad engine config exits 2 instead of failing row by row.
+The layer is thin: configs become library objects, and each config section
+has one schema and one reader here. The schemas check the engine settings'
+types and shapes only: purity.check_ladder owns their defaults (rel_tol
+1e-6, base_n 64, n_cap 1024) and ranges, and returns the completed
+settings. The CLI runs it once before any work, so that a bad engine
+config exits 2 instead of failing row by row. A state that the library
+rejects is a config error in ``purity`` and a row error in ``sweep``.
 Every input that changes a computed number, the engine's rel_tol included,
 comes from the config, whose SHA-256 every output carries; the flags
 (--out, --strict, --workers) only route the output, set the exit code or
@@ -39,7 +43,7 @@ import jsonschema
 from jsonschema.exceptions import best_match
 
 from . import __version__
-from .amplitudes import AmplitudeModel, AmplitudePair, PotentialKind, unitarity_residual
+from .amplitudes import AmplitudeModel, AmplitudePair, unitarity_residual
 from .analytic import (
     ApproximationInput,
     reflected_gaussian_purity,
@@ -81,10 +85,10 @@ _RATIO = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _UNIT = {"enum": ["absolute", "b", "M_alpha"]}
 _N_OR_PAIR = {
     "oneOf": [
-        {"type": "integer", "minimum": 32},
+        {"type": "integer"},
         {
             "type": "array",
-            "items": {"type": "integer", "minimum": 32},
+            "items": {"type": "integer"},
             "minItems": 2,
             "maxItems": 2,
         },
@@ -108,19 +112,19 @@ _MASSES = {
     ]
 }
 
+# types and shapes only: purity.check_ladder owns the defaults and value ranges
 _ENGINE = {
     "type": "object",
     "properties": {
-        "rel_tol": {"type": "number", "minimum": 1e-10, "maximum": 0.1},
+        "rel_tol": {"type": "number"},
         "base_n": _N_OR_PAIR,
         "n_cap": _N_OR_PAIR,
     },
     "additionalProperties": False,
 }
 
-
-def _potential_schema(allow_none: bool) -> dict:
-    variants = [
+_POTENTIAL = {
+    "oneOf": [
         {
             "type": "object",
             "properties": {"kind": {"const": "hard_core"}},
@@ -149,17 +153,7 @@ def _potential_schema(allow_none: bool) -> dict:
             "additionalProperties": False,
         },
     ]
-    if allow_none:
-        variants.append(
-            {
-                "type": "object",
-                "properties": {"kind": {"const": "none"}},
-                "required": ["kind"],
-                "additionalProperties": False,
-            }
-        )
-    return {"oneOf": variants}
-
+}
 
 _STATE_POINT = {
     "type": "object",
@@ -185,22 +179,25 @@ _STATE_POINT = {
     "additionalProperties": False,
 }
 
+# q_grid of amplitudes and k_axis of sweep
+_MOMENTUM_AXIS = {
+    "type": "object",
+    "properties": {
+        "start": _POS,
+        "stop": _POS,
+        "num": {"type": "integer", "minimum": 1},
+        "unit": _UNIT,
+    },
+    "required": ["start", "stop", "num"],
+    "additionalProperties": False,
+}
+
 AMPLITUDES_SCHEMA = {
     "type": "object",
     "properties": {
         "masses": _MASSES,
-        "potential": _potential_schema(False),
-        "q_grid": {
-            "type": "object",
-            "properties": {
-                "start": _POS,
-                "stop": _POS,
-                "num": {"type": "integer", "minimum": 2},
-                "unit": _UNIT,
-            },
-            "required": ["start", "stop", "num"],
-            "additionalProperties": False,
-        },
+        "potential": _POTENTIAL,
+        "q_grid": _MOMENTUM_AXIS,
     },
     "required": ["masses", "potential", "q_grid"],
     "additionalProperties": False,
@@ -210,7 +207,17 @@ PURITY_SCHEMA = {
     "type": "object",
     "properties": {
         "masses": _MASSES,
-        "potential": _potential_schema(True),
+        "potential": {
+            "oneOf": _POTENTIAL["oneOf"]
+            + [
+                {
+                    "type": "object",
+                    "properties": {"kind": {"const": "none"}},
+                    "required": ["kind"],
+                    "additionalProperties": False,
+                }
+            ]
+        },
         "state": _STATE_POINT,
         "engine": _ENGINE,
     },
@@ -222,24 +229,14 @@ SWEEP_SCHEMA = {
     "type": "object",
     "properties": {
         "masses": _MASSES,
-        "potential": _potential_schema(False),
+        "potential": _POTENTIAL,
         "state": {
             "type": "object",
             "properties": {"sigma1_over_k": _RATIO, "sigma2_over_k": _RATIO},
             "required": ["sigma1_over_k", "sigma2_over_k"],
             "additionalProperties": False,
         },
-        "k_axis": {
-            "type": "object",
-            "properties": {
-                "start": _POS,
-                "stop": _POS,
-                "num": {"type": "integer", "minimum": 1},
-                "unit": _UNIT,
-            },
-            "required": ["start", "stop", "num"],
-            "additionalProperties": False,
-        },
+        "k_axis": _MOMENTUM_AXIS,
         "engine": _ENGINE,
     },
     "required": ["masses", "potential", "state", "k_axis"],
@@ -349,7 +346,7 @@ def _potential_from(cfg: dict, mp: MassPartition) -> Optional[AmplitudeModel]:
 def _momentum_scale(unit: str, model: Optional[AmplitudeModel]) -> float:
     if unit == "absolute":
         return 1.0
-    if model is None or model.kind is PotentialKind.HARD_CORE:
+    if model is None or not model.strength_scale:
         raise ConfigError(
             f"momentum unit '{unit}' needs a potential with a strength scale"
         )
@@ -361,10 +358,11 @@ def _momentum_scale(unit: str, model: Optional[AmplitudeModel]) -> float:
 def _state_from(
     state_cfg: dict, mp: MassPartition, model: Optional[AmplitudeModel]
 ) -> GaussianInState:
+    """The in-state of a state config; ValueError if the state rejects it."""
     if ("sigma1" in state_cfg or "sigma2" in state_cfg) and (
         "sigma1_over_k" in state_cfg or "sigma2_over_k" in state_cfg
     ):
-        raise ConfigError("$.state: mixes absolute and relative widths")
+        raise ValueError("mixes absolute and relative widths")
     if "k" in state_cfg:
         k = state_cfg["k"]
     else:
@@ -375,34 +373,27 @@ def _state_from(
     else:
         s1 = state_cfg["sigma1_over_k"] * k
         s2 = state_cfg["sigma2_over_k"] * k
-    try:
-        return GaussianInState(
-            k=k,
-            sigma1=s1,
-            sigma2=s2,
-            masses=mp,
-            a1=state_cfg.get("a1", 0.0),
-            a2=state_cfg.get("a2", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"$.state: {exc}") from exc
-
-
-_ENGINE_DEFAULTS = {"rel_tol": 1e-6, "base_n": 64, "n_cap": 1024}
+    return GaussianInState(
+        k=k,
+        sigma1=s1,
+        sigma2=s2,
+        masses=mp,
+        a1=state_cfg.get("a1", 0.0),
+        a2=state_cfg.get("a2", 0.0),
+    )
 
 
 def _engine_from(cfg: dict) -> dict:
-    """Keyword arguments of purity_out: the defaults, overridden by $.engine.
+    """Keyword arguments of purity_out: $.engine, completed and checked by
+    :func:`check_ladder`.
 
     The config is the only source, so the config's SHA-256 in the output
     pins every setting.
     """
-    eng = {**_ENGINE_DEFAULTS, **cfg.get("engine", {})}
     try:
-        check_ladder(**eng)
+        return check_ladder(**cfg.get("engine", {}))
     except ValueError as exc:
         raise ConfigError(f"$.engine: {exc}") from exc
-    return eng
 
 
 def _axis_values(axis_cfg: dict) -> np.ndarray:
@@ -457,11 +448,9 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
     _check_schema(cfg, AMPLITUDES_SCHEMA)
     mp = _masses_from(cfg)
     model = _potential_from(cfg, mp)
-    grid = cfg["q_grid"]
-    unit = grid.get("unit", "absolute")
-    scale = _momentum_scale(unit, model)
-    q_axis = np.linspace(grid["start"], grid["stop"], grid["num"])
-    q_abs = q_axis * scale
+    unit = cfg["q_grid"].get("unit", "absolute")
+    q_axis = _axis_values(cfg["q_grid"])
+    q_abs = q_axis * _momentum_scale(unit, model)
     t, r = model.amplitudes(q_abs)
     T = np.abs(t) ** 2
     R = np.abs(r) ** 2
@@ -504,7 +493,10 @@ def cmd_purity(cfg: dict, sha: str, out: Optional[Path], strict: bool) -> int:
     _check_schema(cfg, PURITY_SCHEMA)
     mp = _masses_from(cfg)
     model = _potential_from(cfg, mp)
-    state = _state_from(cfg["state"], mp, model)
+    try:
+        state = _state_from(cfg["state"], mp, model)
+    except ValueError as exc:
+        raise ConfigError(f"$.state: {exc}") from exc
     eng = _engine_from(cfg)
 
     if model is None:
@@ -585,12 +577,7 @@ def _sweep_point(
     row = dict.fromkeys((name for name, _ in SWEEP_COLUMNS), float("nan"))
     row.update(k=k_axis, mu1=mp.mu1, grid_N=0, converged=False, error=None)
     try:
-        state = GaussianInState(
-            k=k,
-            sigma1=widths["sigma1_over_k"] * k,
-            sigma2=widths["sigma2_over_k"] * k,
-            masses=mp,
-        )
+        state = _state_from({"k": k, **widths}, mp, model)
     except ValueError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row

@@ -96,13 +96,13 @@ def shipped_parameter_sets() -> List[ShippedCase]:
         )
     )
     # k = 0.10*b sits between resonances; a*b = 10
-    b = m_42.mu_red * (1.0 / m_42.mu_red)
+    b = 1.0
     cases.append(
         ShippedCase(
             "double_delta/off_resonance",
             GaussianInState(k=0.10 * b, sigma1=0.01 * b, sigma2=0.005 * b, masses=m_42),
             AmplitudeModel.double_dirac_delta(
-                1.0 / m_42.mu_red, 10.0 / b, m_42
+                b / m_42.mu_red, 10.0 / b, m_42
             ),
         )
     )
@@ -202,10 +202,8 @@ def _check_hardcore() -> CheckResult:
 
 
 def _check_mode_split() -> CheckResult:
-    mp = MassPartition(0.2)
-    k = 1.0
-    st = GaussianInState(k=k, sigma1=k / 10, sigma2=k / 5, masses=mp)
-    model = AmplitudeModel.dirac_delta(k / mp.mu_red, mp)
+    (case,) = [c for c in shipped_parameter_sets() if c.name == "delta/schulman"]
+    st, model = case.state, case.model
     rep = purity_out(st, model)
     out = ModeWavefunction(Mode.OUT, st, model)
     joint, _ = purity_from_matrix(discretize(out, joint_grid(st, 256)), spectrum=False)

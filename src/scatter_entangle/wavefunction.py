@@ -61,6 +61,11 @@ ArrayLike = Union[float, np.ndarray]
 # from either center, and the reflected modes map it through the reflection
 # map, whose rows have norm at most sqrt(5), so no difference exceeds 64 k.
 _SCALES = (float(np.sqrt(np.finfo(float).tiny)), float(np.sqrt(np.finfo(float).max)) / 64.0)
+# Bound on |a| and k |a| for each position a. The windows hold |p| below
+# 21 k, and a reflected phase coefficient is at most 3 max(|a1|, |a2|), so
+# under this bound every coefficient and every phase, which stays below
+# 63 k max(|a1|, |a2|), is finite.
+_PHASE_BOUND = float(np.finfo(float).max) / 64.0
 
 
 class IncomingnessWarning(UserWarning):
@@ -71,12 +76,17 @@ class IncomingnessWarning(UserWarning):
 class GaussianInState:
     """Product Gaussian in-state; see module docstring for the explicit form.
 
-    ``a1``/``a2`` are initial positions and only contribute phases; every
-    purity computed from this state is independent of them. States with
-    max(sigma)/k >= 1 are rejected (the packet would straddle q = 0), and so
-    are a k or widths outside about 1.5e-154 to 2.1e152, where the squares
-    the Gaussians take would underflow the normal doubles or overflow; a
-    warning is raised above max(sigma)/k = 1/3.
+    ``a1``/``a2`` are initial positions and only contribute phases, which
+    are local within each mode: a branch's purity, the split total of
+    ``purity.purity_out`` and the (p, q) purity are independent of them,
+    but the out mode's purity on one joint grid is not, because the
+    branches' relative phase moves with them where the lobes overlap.
+    States with max(sigma)/k >= 1 are rejected (the packet would straddle
+    q = 0), and so are a k or widths outside about 1.5e-154 to 2.1e152,
+    where the squares the Gaussians take would underflow the normal doubles
+    or overflow, and positions a with |a| or k |a| above about 2.8e306,
+    where the phases would overflow; a warning is raised above
+    max(sigma)/k = 1/3.
     """
 
     k: float
@@ -99,6 +109,12 @@ class GaussianInState:
             raise ValueError(
                 f"k, sigma1 and sigma2 must lie in [{lo:.3g}, {hi:.3g}], where the "
                 f"Gaussians' squares are normal doubles, got {scales}"
+            )
+        pos = (self.a1, self.a2)
+        if not all(abs(a) <= _PHASE_BOUND and self.k * abs(a) <= _PHASE_BOUND for a in pos):
+            raise ValueError(
+                f"|a1|, |a2| and k times each must be at most {_PHASE_BOUND:.3g}, where "
+                f"the phases stay finite, got k = {self.k}, (a1, a2) = {pos}"
             )
         ratio = max(self.sigma1, self.sigma2) / self.k
         if ratio >= 1.0:
@@ -232,8 +248,14 @@ class ModeWavefunction:
             return r * _eval_reflected_in(state, pm)
         return t * _eval_in_factored(state, pm) + r * _eval_reflected_in(state, pm)
 
-    def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
-        """True where this mode's incident relative momentum is <= 0."""
+    def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> Optional[np.ndarray]:
+        """True where this mode's incident relative momentum is <= 0.
+
+        None for ``Mode.OUT``: its transmitted lobe is incident at q and its
+        reflected lobe at -q, so it has no single incident convention.
+        """
+        if self.mode is Mode.OUT:
+            return None
         q = pair_to_jacobi(PairMomentum(p1, p2), self.masses).q
         incident = -np.asarray(q) if self.mode in _REVERSED_INCIDENT else np.asarray(q)
         return incident <= 0.0

@@ -59,12 +59,23 @@ def test_amplitudes_table(tmp_path):
     assert max(float(v) for v in cols["unitarity_residual"]) < 1e-12
 
 
+def test_amplitudes_table_of_one_row(tmp_path):
+    # q_grid shares k_axis's schema, which allows a single point
+    q_grid = {"start": 0.5, "stop": 1.5, "num": 1, "unit": "b"}
+    cfg = write_config(tmp_path, "amp.json", dict(AMPLITUDES_CFG, q_grid=q_grid))
+    out = tmp_path / "amp.csv"
+    assert run(["amplitudes", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert cols["q"] == ["0.5"]
+
+
 def test_purity_report_json(tmp_path):
     cfg = write_config(tmp_path, "pur.json", DELTA_PURITY_CFG)
     out = tmp_path / "pur.json.out"
     assert run(["purity", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["command"] == "purity"
+    assert payload["engine"] == purity.check_ladder()  # the config sets no $.engine
     assert payload["inputs"]["mu1"] == 0.2
     assert payload["inputs"]["schulman_satisfied"] is False
     rep = payload["report"]
@@ -372,6 +383,25 @@ def test_bad_purity_configs_exit_2(tmp_path, capsys, mangle):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "engine, message",
+    [
+        ({"rel_tol": 0.2}, "rel_tol must be at most 0.1, got 0.2"),
+        ({"rel_tol": 1e-11}, "rel_tol must be at least 1e-10, got 1e-11"),
+        ({"base_n": 16}, "base_n for n1 must be a power of two >= 32, got 16"),
+        ({"n_cap": [1024, -64]}, "n_cap for n2 must be a power of two >= 32, got -64"),
+    ],
+)
+def test_engine_settings_out_of_range_exit_2_with_the_engines_message(
+    tmp_path, capsys, engine, message
+):
+    # the schema checks only types and shapes; purity.check_ladder owns the ranges
+    for command, base in (("purity", DELTA_PURITY_CFG), ("sweep", SWEEP_CFG)):
+        cfg = write_config(tmp_path, "bad.json", dict(base, engine=engine))
+        assert run([command, "--config", str(cfg)]) == 2, command
+        assert capsys.readouterr().err == f"config error: $.engine: {message}\n"
+
+
 AMPLITUDES_CFG = {
     "masses": {"mu1": 0.2},
     "potential": {"kind": "double_delta", "alpha": 2.5, "half_separation": 0.4},
@@ -560,13 +590,23 @@ def test_a_state_beyond_the_double_range_is_rejected(tmp_path, capsys, k):
     assert cols["error"][0].startswith(f"ValueError: {rejected}")
 
 
-def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys):
-    cfg_dict = dict(DELTA_PURITY_CFG, state={"k": 1.0, "sigma1": 1.0, "sigma2": 0.1})
-    cfg = write_config(tmp_path, "wide.json", cfg_dict)
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({"k": 1.0, "sigma1": 1.0, "sigma2": 0.1}, "max(sigma)/k = 1 >= 1"),
+        # phases p * a1 beyond a double's range
+        (
+            {"k": 1.0, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1, "a1": 1e308},
+            "|a1|, |a2| and k times each must be at most",
+        ),
+    ],
+)
+def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys, state, message):
+    cfg = write_config(tmp_path, "bad.json", dict(DELTA_PURITY_CFG, state=state))
     assert run(["purity", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: $.state: ")
+    assert captured.err.startswith(f"config error: $.state: {message}")
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys):

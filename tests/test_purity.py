@@ -302,6 +302,11 @@ def test_grid_validation():
         check_ladder(1e-6, [64, 128], (1024, 64))
     with pytest.raises(ValueError, match="rel_tol must be at least 1e-10, got nan"):
         check_ladder(float("nan"), 64, 1024)
+    with pytest.raises(ValueError, match="rel_tol must be at most 0.1, got 0.2"):
+        purity_out(st, AmplitudeModel.hard_core(st.masses), rel_tol=0.2)
+    # the defaults live here alone, and the settings come back as given
+    assert check_ladder() == {"rel_tol": 1e-6, "base_n": 64, "n_cap": 1024}
+    assert check_ladder(0.1, [64, 32], 128) == {"rel_tol": 0.1, "base_n": [64, 32], "n_cap": 128}
 
 
 def _raise_on_constant(name):
@@ -840,3 +845,17 @@ def test_out_of_convention_weight_tracks_momentum_spread():
         ModeWavefunction(Mode.IN, wide), mode_grid(wide, Mode.IN, 64), 1e-7
     )
     assert 1e-6 < rep_wide.oob_weight < 1e-2
+
+
+def test_out_mode_ladder_reports_no_oob_weight():
+    # the out mode's lobes are incident at q and at -q, so no one convention
+    # holds on its grid; the single-lobe modes keep theirs
+    st = make_state(mu1=0.2, s1=0.1, s2=0.2)
+    model = AmplitudeModel.dirac_delta(st.k / st.masses.mu_red, st.masses)
+    out = purity_adaptive(ModeWavefunction(Mode.OUT, st, model), joint_grid(st, 64), n_cap=64)
+    assert out.oob_weight is None
+    assert out.as_dict()["oob_weight"] is None
+    for mode in (Mode.IN, Mode.REFLECTED_IN, Mode.TRANSMITTED, Mode.REFLECTED):
+        fn = ModeWavefunction(mode, st, model)
+        rep = purity_adaptive(fn, mode_grid(st, mode, 64), n_cap=64)
+        assert rep.oob_weight == 0.0, mode

@@ -18,6 +18,23 @@ def test_readme_python_blocks_run(capsys):
     assert capsys.readouterr().out
 
 
+def build(cfg):
+    """Read a config through the CLI's readers, as its command does; the
+    engine's value ranges, for one, are checked there and not in the schema."""
+    mp = cli._masses_from(cfg)
+    model = cli._potential_from(cfg, mp)
+    cli._engine_from(cfg)
+    if "state" in cfg and "k_axis" not in cfg:
+        cli._state_from(cfg["state"], mp, model)
+    for key in ("q_grid", "k_axis"):
+        if key in cfg:
+            unit = cfg[key].get("unit", "absolute")
+            momenta = cli._axis_values(cfg[key]) * cli._momentum_scale(unit, model)
+            if key == "k_axis":  # a sweep's state holds only the widths
+                for k in momenta:
+                    cli._state_from({"k": k, **cfg["state"]}, mp, model)
+
+
 def test_readme_configs_pass_their_commands_schema():
     # each ```json block under a command's heading is a config of that command
     schemas = {
@@ -30,6 +47,8 @@ def test_readme_configs_pass_their_commands_schema():
     for heading, body in zip(sections[1::2], sections[2::2]):
         if heading in schemas:
             for block in re.findall(r"```json\n(.*?)```", body, flags=re.S):
-                cli._check_schema(json.loads(block), schemas[heading])
+                cfg = json.loads(block)
+                cli._check_schema(cfg, schemas[heading])
+                build(cfg)
                 checked.add(heading)
     assert checked == set(schemas)

@@ -11,7 +11,13 @@ from scatter_entangle.kinematics import (
     jacobi_to_pair,
     reflect_momenta,
 )
-from scatter_entangle.purity import axis_nodes, discretize, joint_grid, mode_grid
+from scatter_entangle.purity import (
+    axis_nodes,
+    discretize,
+    joint_grid,
+    mode_grid,
+    purity_from_matrix,
+)
 from scatter_entangle.wavefunction import (
     GaussianInState,
     IncomingnessWarning,
@@ -93,6 +99,39 @@ def test_the_extreme_normal_scales_are_accepted():
     for k in (1e-152, 2e152):
         st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=HEAVY2)
         assert np.isfinite(st(k, -k))
+
+
+@pytest.mark.parametrize(
+    "k, a1, a2",
+    [
+        (1.0, 1e308, 0.0),  # k |a1| past the bound
+        (1.0, 0.0, -1e308),
+        (1e100, 2.9e206, 0.0),
+        (1e-3, 1.7e308, 0.0),  # k |a1| within it, but 3 |a1| overflows
+        (1.0, float("nan"), 0.0),
+    ],
+)
+def test_positions_whose_phases_overflow_are_rejected(k, a1, a2):
+    with pytest.raises(ValueError, match=r"\|a1\|, \|a2\| and k times each must be at most"):
+        GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=HEAVY2, a1=a1, a2=a2)
+
+
+@pytest.mark.parametrize("k, a", [(1.0, 2.8e306), (1e-3, 2.8e306), (1e100, 2.8e206)])
+def test_positions_at_the_bound_sample_finite_phases(k, a):
+    # the out mode's joint grid spans both lobes, and discretize raises on a
+    # non-finite sample; within one branch the phases are local, so its
+    # purity ignores them
+    model = AmplitudeModel.dirac_delta(k / HEAVY2.mu_red, HEAVY2)
+    purities = []
+    for a1, a2 in ((a, -a), (0.0, 0.0)):
+        st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=HEAVY2, a1=a1, a2=a2)
+        discretize(ModeWavefunction(Mode.OUT, st, model), joint_grid(st, 64))
+        branches = [
+            discretize(ModeWavefunction(mode, st, model), mode_grid(st, mode, 64))
+            for mode in (Mode.TRANSMITTED, Mode.REFLECTED)
+        ]
+        purities.append([purity_from_matrix(wam, spectrum=False)[0] for wam in branches])
+    np.testing.assert_allclose(purities[0], purities[1], rtol=1e-12)
 
 
 def test_sigma_q_marginal_width():

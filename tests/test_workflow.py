@@ -11,10 +11,9 @@ import subprocess
 from pathlib import Path
 
 import pytest
+import yaml
 
 from scatter_entangle import cli
-
-yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
