@@ -10,6 +10,7 @@ purity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .kinematics import MassPartition
@@ -25,6 +26,7 @@ __all__ = [
 
 _PROB_TOL = 1e-10
 _SCHULMAN_TOL = 1e-9
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 def _check_widths(sigma1: float, sigma2: float) -> None:
@@ -41,15 +43,26 @@ def reflected_gaussian_purity_mu_c(mu1: float, c: float) -> float:
     momentum scale. Equals 1 exactly on the equal-mass ridge mu1 = 1/2 (the
     factor (2*mu1 - 1) vanishes identically and sqrt(c*c) == c in IEEE
     arithmetic) and on the Schulman ridge c^2 = (1 - mu1)/mu1, and is < 1
-    everywhere else.
+    everywhere else. Where the product of the two sums of squares is not a
+    normal double (at mu1 = 1/2, c outside about 1.5e-154 to 1.3e154; at
+    mu1 = 0.2, c above about 2.4e77), the same ratio is taken as c over the
+    two norms, c / hypot(2*mu1 - 1, 2*mu1*c) / hypot(...), which is finite
+    for every c > 0 and still exactly 1 at mu1 = 1/2. Elsewhere the squared
+    form is kept: the two forms differ in the last bits.
     """
     if not 0.0 < mu1 < 1.0:
         raise ValueError(f"mass fraction mu1 must lie in (0, 1), got {mu1}")
     if not c > 0.0:
         raise ValueError(f"width ratio c must be positive, got {c}")
-    d1 = (2.0 * mu1 - 1.0) ** 2 + (2.0 * mu1 * c) ** 2
-    d2 = (2.0 * (1.0 - mu1)) ** 2 + ((1.0 - 2.0 * mu1) * c) ** 2
-    return c / math.sqrt(d1 * d2)
+    x1, y1 = 2.0 * mu1 - 1.0, 2.0 * mu1 * c
+    x2, y2 = 2.0 * (1.0 - mu1), (1.0 - 2.0 * mu1) * c
+    try:
+        d = (x1**2 + y1**2) * (x2**2 + y2**2)
+    except OverflowError:  # float ** raises where * would give inf
+        d = math.inf
+    if _TINY <= d < math.inf:
+        return c / math.sqrt(d)
+    return c / math.hypot(x1, y1) / math.hypot(x2, y2)
 
 
 def reflected_gaussian_purity(mp: MassPartition, sigma1: float, sigma2: float) -> float:

@@ -7,11 +7,12 @@ order regardless of --workers, and newlines are always "\\n".
 
 The layer is thin: configs become library objects, and each config section
 has one schema and one reader here. The schemas check the engine settings'
-types and shapes only: purity.check_ladder owns their defaults (rel_tol
-1e-6, base_n 64, n_cap 1024) and ranges, and returns the completed
-settings. The CLI runs it once before any work, so that a bad engine
-config exits 2 instead of failing row by row. A state that the library
-rejects is a config error in ``purity`` and a row error in ``sweep``.
+types and shapes only: purity.check_ladder owns their defaults and
+ranges, and returns the completed settings. The CLI runs it once before
+any work, so that a bad engine config exits 2 instead of failing row by
+row. A state that the library rejects, or amplitudes that are not finite
+at the config's own momenta, are a config error in ``amplitudes`` and
+``purity`` and a row error in ``sweep``.
 Every input that changes a computed number, the engine's rel_tol included,
 comes from the config, whose SHA-256 every output carries; the flags
 (--out, --strict, --workers) only route the output, set the exit code or
@@ -444,6 +445,18 @@ def _open_out(path: Optional[Path]):
 # --------------------------------------------------------------------------
 # subcommands
 
+def _amplitudes(model: AmplitudeModel, q) -> AmplitudePair:
+    """``model.amplitudes(q)``, or a ConfigError naming the first momentum
+    where they are not finite, as where a scatterer's phase 2 q x overflows."""
+    with np.errstate(all="ignore"):  # the check below reports it instead
+        t, r = model.amplitudes(q)
+    finite = np.ravel(np.isfinite(t) & np.isfinite(r))
+    if not finite.all():
+        q_bad = float(np.ravel(q)[np.argmin(finite)])
+        raise ConfigError(f"amplitudes are not finite at absolute momentum q = {q_bad!r}")
+    return AmplitudePair(t, r)
+
+
 def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
     _check_schema(cfg, AMPLITUDES_SCHEMA)
     mp = _masses_from(cfg)
@@ -451,7 +464,7 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
     unit = cfg["q_grid"].get("unit", "absolute")
     q_axis = _axis_values(cfg["q_grid"])
     q_abs = q_axis * _momentum_scale(unit, model)
-    t, r = model.amplitudes(q_abs)
+    t, r = _amplitudes(model, q_abs)
     T = np.abs(t) ** 2
     R = np.abs(r) ** 2
     resid = unitarity_residual(AmplitudePair(t, r))
@@ -474,7 +487,7 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
 def _approximations(model: AmplitudeModel, state: GaussianInState) -> dict:
     """Constant-amplitude estimates at k. Aborts the run if |t|^2 + |r|^2 != 1:
     every amplitude the engine uses comes from the same model."""
-    t_k, r_k = model.amplitudes(state.k)
+    t_k, r_k = _amplitudes(model, state.k)
     pbar = reflected_gaussian_purity(state.masses, state.sigma1, state.sigma2)
     try:
         approx = ApproximationInput.from_amplitudes(t_k, r_k, pbar)
@@ -569,19 +582,20 @@ def _sweep_point(
     """One sweep row, keyed by SWEEP_COLUMNS names.
 
     A failure that depends on the point's configuration (the state rejects
-    its widths, or its wave function vanishes or has non-finite samples)
-    fills only k, mu1 and error and leaves the numbers NaN. Anything else is
-    a defect and propagates, so the sweep exits 1.
+    its widths, its amplitudes at k are not finite, or its wave function
+    vanishes or has non-finite samples) fills only k, mu1 and error and
+    leaves the numbers NaN. Anything else is a defect and propagates, so the
+    sweep exits 1.
     """
     mp = model.masses
     row = dict.fromkeys((name for name, _ in SWEEP_COLUMNS), float("nan"))
     row.update(k=k_axis, mu1=mp.mu1, grid_N=0, converged=False, error=None)
     try:
         state = _state_from({"k": k, **widths}, mp, model)
-    except ValueError as exc:
+        approx = _approximations(model, state)
+    except (ValueError, ConfigError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    approx = _approximations(model, state)
     try:
         rep = purity_out(state, model, **eng, spectrum=False)  # no column prints it
     except (ZeroWavefunctionError, FloatingPointError) as exc:
@@ -611,11 +625,8 @@ def cmd_sweep(cfg: dict, sha: str, out: Optional[Path], workers: int, strict: bo
     k_axis = _axis_values(cfg["k_axis"])
     point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg))
     ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, ks, ks_abs))
-    else:
-        rows = list(map(point, ks, ks_abs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(point, ks, ks_abs))
 
     names = [name for name, _ in SWEEP_COLUMNS]
     with _open_out(out) as stream:

@@ -424,16 +424,21 @@ def _as_pair(n: NPair) -> Tuple[int, int]:
     return int(n), int(n)
 
 
-def check_ladder(rel_tol: float = 1e-6, base_n: NPair = 64, n_cap: NPair = 1024) -> dict:
+# the ladder's defaults: rel_tol, starting nodes per axis and node cap per
+# axis; every function here that runs or sizes a ladder takes them from this line
+_REL_TOL, _BASE_N, _N_CAP = 1e-6, 64, 1024
+
+
+def check_ladder(rel_tol: float = _REL_TOL, base_n: NPair = _BASE_N, n_cap: NPair = _N_CAP) -> dict:
     """The refinement ladder's settings, checked; ValueError if it cannot run them.
 
-    This is the one place that states the settings' defaults (rel_tol 1e-6,
-    64 starting nodes per axis, a cap of 1024 per axis) and their range.
-    rel_tol must lie in [1e-10, 0.1]: below 1e-10 is unreachable (roundoff
-    floor of the quadrature purity), a NaN is never met, and above 0.1 a
-    converged purity could be wrong in its first digit. Per axis, the
-    starting node count and its cap must be powers of two >= 32, given as one
-    number or an (n1, n2) pair, and the cap must not lie below the start.
+    This is the one place that states the settings' defaults, in its
+    signature, and their range. rel_tol must lie in [1e-10, 0.1]: below
+    1e-10 is unreachable (roundoff floor of the quadrature purity), a NaN is
+    never met, and above 0.1 a converged purity could be wrong in its first
+    digit. Per axis, the starting node count and its cap must be powers of
+    two >= 32, given as one number or an (n1, n2) pair, and the cap must not
+    lie below the start.
     Messages name the setting and the axis. Returns the settings as a dict of
     ``rel_tol``, ``base_n`` and ``n_cap``, each as given, which are keyword
     arguments of :func:`purity_out`.
@@ -547,8 +552,8 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
 def purity_adaptive(
     wavefn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridSpec,
-    rel_tol: float = 1e-6,
-    n_cap: NPair = 1024,
+    rel_tol: float = _REL_TOL,
+    n_cap: NPair = _N_CAP,
     spectrum: bool = True,
 ) -> PurityReport:
     """Refine the grid by doubling until purity changes by less than rel_tol.
@@ -591,7 +596,7 @@ def _lobe_windows(state: GaussianInState, reflected: bool) -> Tuple[AxisWindow, 
     return AxisWindow(k, float(hw[0])), AxisWindow(-k, float(hw[1]))
 
 
-def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
+def mode_grid(state: GaussianInState, mode: Mode, n: NPair = _BASE_N) -> GridSpec:
     """Grid over one lobe's window; ``Mode.OUT`` has two and raises ValueError.
 
     A grid over both lobes is :func:`joint_grid`.
@@ -606,7 +611,11 @@ def mode_grid(state: GaussianInState, mode: Mode, n: NPair = 64) -> GridSpec:
 
 
 def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
-    """Single grid whose windows cover both the in and reflected lobes."""
+    """Single grid whose windows cover both the in and reflected lobes.
+
+    The default of 256 nodes per axis is the grid on which :func:`purity_out`
+    samples its overlap diagnostic.
+    """
     n1, n2 = _as_pair(n)
     windows = []
     for wi, wr in zip(_lobe_windows(state, False), _lobe_windows(state, True)):
@@ -619,9 +628,9 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
 def purity_out(
     state: GaussianInState,
     model: AmplitudeModel,
-    rel_tol: float = 1e-6,
-    base_n: NPair = 64,
-    n_cap: NPair = 1024,
+    rel_tol: float = _REL_TOL,
+    base_n: NPair = _BASE_N,
+    n_cap: NPair = _N_CAP,
     spectrum: bool = True,
 ) -> PurityReport:
     """Purity of the full out-state via the two-branch mode split.
@@ -638,16 +647,16 @@ def purity_out(
     matter when the packets' momentum ranges overlap (see the module
     docstring); ``converged`` does not bound those terms. The overlap
     |<transmitted|reflected>| samples both branch wave functions through
-    :func:`discretize` on the :func:`joint_grid` of 256 x 256 nodes over +-8
-    sigma windows and takes their weighted inner product; it is not a bound
-    on the split's error either. A branch that vanishes in the sense of
-    :func:`purity_from_matrix` (the hard core's transmission, or a weight
-    below 1.5e-154, whose share w^2 p of the total lies far below roundoff)
-    contributes nothing and is marked absent via a None sub-report; the
-    overlap is then 0.0 exactly, and no joint grid is sampled. All settings
-    are checked by :func:`check_ladder` first. With ``spectrum`` false
-    neither branch runs its final eigensolve and the report's spectra are
-    None.
+    :func:`discretize` on :func:`joint_grid`'s default grid (256 x 256
+    nodes over +-8 sigma windows) and takes their weighted inner product; it
+    is not a bound on the split's error either. A branch that vanishes in
+    the sense of :func:`purity_from_matrix` (the hard core's transmission,
+    or a weight below 1.5e-154, whose share w^2 p of the total lies far
+    below roundoff) contributes nothing and is marked absent via a None
+    sub-report; the overlap is then 0.0 exactly, and no joint grid is
+    sampled. All settings are checked by :func:`check_ladder` first. With
+    ``spectrum`` false neither branch runs its final eigensolve and the
+    report's spectra are None.
     """
     check_ladder(rel_tol, base_n, n_cap)
     ladders = {}
@@ -697,9 +706,9 @@ def purity_out(
 def purity_pq_adaptive(
     state: GaussianInState,
     model: Optional[AmplitudeModel] = None,
-    rel_tol: float = 1e-6,
-    base_n: NPair = 64,
-    n_cap: NPair = 1024,
+    rel_tol: float = _REL_TOL,
+    base_n: NPair = _BASE_N,
+    n_cap: NPair = _N_CAP,
 ) -> PurityReport:
     """(total, relative)-momentum purity, refined adaptively on automatic windows.
 

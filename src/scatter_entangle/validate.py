@@ -177,9 +177,7 @@ def _check_closed_form_quadrature() -> CheckResult:
     c = 0.5
     st = GaussianInState(k=k, sigma1=k / 10, sigma2=c * k / 10, masses=mp)
     rep = purity_adaptive(
-        ModeWavefunction(Mode.REFLECTED_IN, st),
-        mode_grid(st, Mode.REFLECTED_IN),
-        rel_tol=1e-6,
+        ModeWavefunction(Mode.REFLECTED_IN, st), mode_grid(st, Mode.REFLECTED_IN)
     )
     expected = reflected_gaussian_purity_mu_c(mp.mu1, c)
     diff = abs(rep.purity - expected)
@@ -206,7 +204,7 @@ def _check_mode_split() -> CheckResult:
     st, model = case.state, case.model
     rep = purity_out(st, model)
     out = ModeWavefunction(Mode.OUT, st, model)
-    joint, _ = purity_from_matrix(discretize(out, joint_grid(st, 256)), spectrum=False)
+    joint, _ = purity_from_matrix(discretize(out, joint_grid(st)), spectrum=False)
     add_gap = abs(joint - (rep.purity_tra + rep.purity_ref))
     ok = rep.overlap < 1e-8 and add_gap < 1e-5
     return CheckResult(

@@ -61,6 +61,33 @@ def test_particle_relabeling_symmetry():
         )
 
 
+def test_every_representable_width_ratio_gives_a_finite_purity():
+    # at mu1 = 1/2, c^2 overflows above about 1.3e154 and underflows below
+    # 1.5e-154; there the closed form takes the norms of its two factors
+    eps = np.finfo(float).eps
+    for mu1 in (1e-12, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0 - 1e-12):
+        m2 = 1.0 - mu1
+        m1 = 1.0 - m2  # m1 + m2 == 1 exactly, so the two labelings are one state
+        for e in range(-300, 301):
+            c = 10.0**e
+            p = reflected_gaussian_purity_mu_c(mu1, c)
+            assert math.isfinite(p) and 0.0 < p <= 1.0 + 2 * eps, (mu1, c, p)
+            if mu1 == 0.5:
+                assert p == 1.0
+            assert reflected_gaussian_purity_mu_c(m1, c) == pytest.approx(
+                reflected_gaussian_purity_mu_c(m2, 1.0 / c), rel=4 * eps
+            )
+
+
+def test_ordinary_width_ratios_keep_the_squared_form_bitwise():
+    rng = np.random.default_rng(7)
+    for mu1, c in zip(rng.uniform(0.01, 0.99, 2000), 10.0 ** rng.uniform(-6, 6, 2000)):
+        mu1, c = float(mu1), float(c)
+        d1 = (2.0 * mu1 - 1.0) ** 2 + (2.0 * mu1 * c) ** 2
+        d2 = (2.0 * (1.0 - mu1)) ** 2 + ((1.0 - 2.0 * mu1) * c) ** 2
+        assert reflected_gaussian_purity_mu_c(mu1, c) == c / math.sqrt(d1 * d2)
+
+
 def test_scale_invariance_analytic():
     mp = MassPartition(0.2)
     p_small = reflected_gaussian_purity(mp, 0.013, 0.029)

@@ -335,13 +335,14 @@ def test_reflectmap_equal_mass_row_is_unity(tmp_path):
         "rmap.json",
         {
             "mu1_axis": {"values": [0.5]},
-            "c_axis": {"values": [0.25, 0.5, 1.0, 2.0, 4.0]},
+            # c^2 underflows at 1e-200 and overflows at 1e200
+            "c_axis": {"values": [1e-200, 0.25, 0.5, 1.0, 2.0, 4.0, 1e200]},
         },
     )
     out = tmp_path / "rmap.csv"
     assert run(["reflectmap", "--config", str(cfg), "--out", str(out)]) == 0
     _, cols = read_csv(out)
-    assert [float(v) for v in cols["purity"]] == [1.0] * 5
+    assert [float(v) for v in cols["purity"]] == [1.0] * 7
 
 
 def test_validate_passes(capsys):
@@ -607,6 +608,53 @@ def test_state_rejected_by_the_in_state_exits_2(tmp_path, capsys, state, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: $.state: {message}")
+
+
+# a = 1e308 puts the double delta's phase 2 q a beyond a double from q = 0.9
+OVERFLOWING_DOUBLE_DELTA = {"kind": "double_delta", "alpha": 6.25, "half_separation": 1e308}
+NOT_FINITE = "amplitudes are not finite at absolute momentum q = "
+
+
+def test_amplitudes_that_overflow_are_a_config_error(tmp_path, capsys):
+    potential = dict(OVERFLOWING_DOUBLE_DELTA, half_separation=10.0)
+    q_grid = {"start": 1e306, "stop": 1e308, "num": 3}
+    cfg = write_config(
+        tmp_path, "amp.json", {"masses": {"mu1": 0.2}, "potential": potential, "q_grid": q_grid}
+    )
+    assert run(["amplitudes", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first_bad = float(np.linspace(1e306, 1e308, 3)[1])  # 2 q a overflows from q = 9e306
+    assert captured.err == f"config error: {NOT_FINITE}{first_bad!r}\n"
+
+
+def test_amplitudes_that_overflow_at_k_are_a_config_error_or_a_row_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "pur.json", dict(DELTA_PURITY_CFG, potential=OVERFLOWING_DOUBLE_DELTA)
+    )
+    assert run(["purity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {NOT_FINITE}1.0\n"
+    k_axis = {"start": 1.0, "stop": 1.0, "num": 1}
+    cfg_dict = dict(SWEEP_CFG, potential=OVERFLOWING_DOUBLE_DELTA, k_axis=k_axis)
+    cfg = write_config(tmp_path, "sweep.json", cfg_dict)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert cols["error"] == [f"ConfigError: {NOT_FINITE}1.0"]
+    assert (cols["T"], cols["converged"]) == (["nan"], ["false"])
+    assert capsys.readouterr().err == ""
+
+
+def test_a_width_ratio_whose_square_underflows_runs(tmp_path):
+    # sigma2 / sigma1 = 1e-200, so c^2 underflows in the reflected purity
+    state = {"k": 1e50, "sigma1": 1e49, "sigma2": 1e-151}
+    cfg_dict = {"masses": {"mu1": 0.5}, "potential": {"kind": "hard_core"}, "state": state}
+    payload = purity_payload(tmp_path, cfg_dict)
+    assert payload["approximations"]["reflected_purity"] == 1.0
+    assert payload["report"]["purity"] == pytest.approx(1.0, abs=1e-6)
+    assert payload["report"]["converged"]
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -307,6 +308,17 @@ def test_grid_validation():
     # the defaults live here alone, and the settings come back as given
     assert check_ladder() == {"rel_tol": 1e-6, "base_n": 64, "n_cap": 1024}
     assert check_ladder(0.1, [64, 32], 128) == {"rel_tol": 0.1, "base_n": [64, 32], "n_cap": 128}
+
+
+def test_every_ladder_takes_check_ladders_defaults():
+    # check_ladder's signature states the defaults; no entry point restates them
+    defaults = check_ladder()
+    for fn in (purity_adaptive, purity_out, purity_pq_adaptive):
+        params = inspect.signature(fn).parameters
+        for name in set(params) & set(defaults):
+            assert params[name].default == defaults[name], (fn.__name__, name)
+    assert inspect.signature(mode_grid).parameters["n"].default == defaults["base_n"]
+    assert set(inspect.signature(purity_out).parameters) >= set(defaults)
 
 
 def _raise_on_constant(name):

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from scatter_entangle import cli
+from scatter_entangle.purity import check_ladder
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +53,10 @@ def test_readme_configs_pass_their_commands_schema():
                 build(cfg)
                 checked.add(heading)
     assert checked == set(schemas)
+
+
+def test_readme_states_the_engines_defaults():
+    # the $.engine paragraph gives each key's default as "`key` (... default N"
+    (para,) = [p for p in README.read_text().split("\n\n") if p.startswith("`$.engine`")]
+    stated = dict(re.findall(r"`(\w+)`\s*\([^)]*?default ([\d.e-]+)", para))
+    assert {key: float(v) for key, v in stated.items()} == check_ladder()

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -132,6 +133,36 @@ def test_positions_at_the_bound_sample_finite_phases(k, a):
         ]
         purities.append([purity_from_matrix(wam, spectrum=False)[0] for wam in branches])
     np.testing.assert_allclose(purities[0], purities[1], rtol=1e-12)
+
+
+def test_windows_stay_within_the_reach_the_state_range_assumes():
+    # _SCALES and _PHASE_BOUND divide by 64 on two assumptions about the windows
+    # that purity.py decides (+-8 sigma per axis): every node lies within 21 k
+    # of the origin, and no envelope difference p1' - k or p2' + k, taken at
+    # the momenta (p1', p2') where a mode evaluates phi_in, exceeds 64 k
+    reach = spread = 0.0
+    for mu1 in (1e-12, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0 - 1e-12):
+        mp = MassPartition(mu1)
+        for s1, s2 in itertools.product((1e-6, 0.5, 0.999999), repeat=2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IncomingnessWarning)
+                st = GaussianInState(k=1.0, sigma1=s1, sigma2=s2, masses=mp)
+            grids = [
+                (mode_grid(st, m), [m in (Mode.REFLECTED, Mode.REFLECTED_IN)])
+                for m in (Mode.IN, Mode.REFLECTED_IN, Mode.TRANSMITTED, Mode.REFLECTED)
+            ]
+            grids.append((joint_grid(st), [False, True]))  # the out mode evaluates both
+            for grid, reflections in grids:
+                w1, w2 = grid.window1, grid.window2
+                # the bounds are linear in the momenta, so the window corners attain them
+                p1 = np.array([w1.center - w1.halfwidth, w1.center + w1.halfwidth])[:, None]
+                p2 = np.array([w2.center - w2.halfwidth, w2.center + w2.halfwidth])[None, :]
+                reach = max(reach, np.abs(p1).max(), np.abs(p2).max())
+                for reflected in reflections:
+                    q1, q2 = reflect_momenta(PairMomentum(p1, p2), mp) if reflected else (p1, p2)
+                    spread = max(spread, np.abs(q1 - 1.0).max(), np.abs(q2 + 1.0).max())
+    assert reach < 21.0
+    assert spread < 64.0
 
 
 def test_sigma_q_marginal_width():
