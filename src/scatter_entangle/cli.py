@@ -12,7 +12,10 @@ ranges, and returns the completed settings. The CLI runs it once before
 any work, so that a bad engine config exits 2 instead of failing row by
 row. A state that the library rejects, or amplitudes that are not finite
 at the config's own momenta, are a config error in ``amplitudes`` and
-``purity`` and a row error in ``sweep``.
+``purity`` and a row error in ``sweep``. So are the quadrature's failures
+at one point: a vanishing wave function, non-finite samples, and a squared
+norm too large to square, which only a grid that does not resolve the wave
+function samples.
 Every input that changes a computed number, the engine's rel_tol included,
 comes from the config, whose SHA-256 every output carries; the flags
 (--out, --strict, --workers) only route the output, set the exit code or
@@ -78,12 +81,18 @@ class ConsistencyAbort(Exception):
     """Internal consistency violation; the whole run must stop."""
 
 
+# failures of the quadrature that depend on the point's configuration: a
+# config error in purity, a row error in sweep
+_POINT_FAILURES = (ZeroWavefunctionError, FloatingPointError)
+
+
 # --------------------------------------------------------------------------
 # config schemas
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _RATIO = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _UNIT = {"enum": ["absolute", "b", "M_alpha"]}
+_NUM = {"type": "integer", "minimum": 1}
 _N_OR_PAIR = {
     "oneOf": [
         {"type": "integer"},
@@ -96,69 +105,49 @@ _N_OR_PAIR = {
     ]
 }
 
+
+def _closed(props: dict, *required: str, **extra) -> dict:
+    """An object schema that admits no key outside ``props``.
+
+    Its keys come in one fixed order, which is the order in which jsonschema
+    reports the errors that best_match picks a message from.
+    """
+    req = {"required": list(required)} if required else {}
+    return {"type": "object", "properties": props, **req, **extra, "additionalProperties": False}
+
+
 _MASSES = {
     "oneOf": [
-        {
-            "type": "object",
-            "properties": {"mu1": _RATIO, "M": _POS},
-            "required": ["mu1"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"m1": _POS, "m2": _POS},
-            "required": ["m1", "m2"],
-            "additionalProperties": False,
-        },
+        _closed({"mu1": _RATIO, "M": _POS}, "mu1"),
+        _closed({"m1": _POS, "m2": _POS}, "m1", "m2"),
     ]
 }
 
 # types and shapes only: purity.check_ladder owns the defaults and value ranges
-_ENGINE = {
-    "type": "object",
-    "properties": {
-        "rel_tol": {"type": "number"},
-        "base_n": _N_OR_PAIR,
-        "n_cap": _N_OR_PAIR,
-    },
-    "additionalProperties": False,
-}
+_ENGINE = _closed({"rel_tol": {"type": "number"}, "base_n": _N_OR_PAIR, "n_cap": _N_OR_PAIR})
 
-_POTENTIAL = {
-    "oneOf": [
+_POTENTIAL_KINDS = [
+    _closed({"kind": {"const": "hard_core"}}, "kind"),
+    _closed({"kind": {"const": "delta"}, "alpha": _POS}, "kind", "alpha"),
+    _closed(
         {
-            "type": "object",
-            "properties": {"kind": {"const": "hard_core"}},
-            "required": ["kind"],
-            "additionalProperties": False,
+            "kind": {"const": "double_delta"},
+            "alpha": _POS,
+            "half_separation": _POS,
+            "half_separation_times_strength": _POS,
         },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "delta"}, "alpha": _POS},
-            "required": ["kind", "alpha"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "double_delta"},
-                "alpha": _POS,
-                "half_separation": _POS,
-                "half_separation_times_strength": _POS,
-            },
-            "required": ["kind", "alpha"],
-            "oneOf": [
-                {"required": ["half_separation"]},
-                {"required": ["half_separation_times_strength"]},
-            ],
-            "additionalProperties": False,
-        },
-    ]
-}
+        "kind",
+        "alpha",
+        oneOf=[
+            {"required": ["half_separation"]},
+            {"required": ["half_separation_times_strength"]},
+        ],
+    ),
+]
+_POTENTIAL = {"oneOf": _POTENTIAL_KINDS}
 
-_STATE_POINT = {
-    "type": "object",
-    "properties": {
+_STATE_POINT = _closed(
+    {
         "k": _POS,
         "k_over_b": _POS,
         "sigma1": _POS,
@@ -168,7 +157,7 @@ _STATE_POINT = {
         "a1": {"type": "number"},
         "a2": {"type": "number"},
     },
-    "allOf": [
+    allOf=[
         {"oneOf": [{"required": ["k"]}, {"required": ["k_over_b"]}]},
         {
             "oneOf": [
@@ -177,105 +166,61 @@ _STATE_POINT = {
             ]
         },
     ],
-    "additionalProperties": False,
-}
+)
 
 # q_grid of amplitudes and k_axis of sweep
-_MOMENTUM_AXIS = {
-    "type": "object",
-    "properties": {
-        "start": _POS,
-        "stop": _POS,
-        "num": {"type": "integer", "minimum": 1},
-        "unit": _UNIT,
-    },
-    "required": ["start", "stop", "num"],
-    "additionalProperties": False,
-}
+_MOMENTUM_AXIS = _closed(
+    {"start": _POS, "stop": _POS, "num": _NUM, "unit": _UNIT}, "start", "stop", "num"
+)
 
-AMPLITUDES_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "masses": _MASSES,
-        "potential": _POTENTIAL,
-        "q_grid": _MOMENTUM_AXIS,
-    },
-    "required": ["masses", "potential", "q_grid"],
-    "additionalProperties": False,
-}
+AMPLITUDES_SCHEMA = _closed(
+    {"masses": _MASSES, "potential": _POTENTIAL, "q_grid": _MOMENTUM_AXIS},
+    "masses",
+    "potential",
+    "q_grid",
+)
 
-PURITY_SCHEMA = {
-    "type": "object",
-    "properties": {
+PURITY_SCHEMA = _closed(
+    {
         "masses": _MASSES,
-        "potential": {
-            "oneOf": _POTENTIAL["oneOf"]
-            + [
-                {
-                    "type": "object",
-                    "properties": {"kind": {"const": "none"}},
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                }
-            ]
-        },
+        "potential": {"oneOf": [*_POTENTIAL_KINDS, _closed({"kind": {"const": "none"}}, "kind")]},
         "state": _STATE_POINT,
         "engine": _ENGINE,
     },
-    "required": ["masses", "potential", "state"],
-    "additionalProperties": False,
-}
+    "masses",
+    "potential",
+    "state",
+)
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "properties": {
+SWEEP_SCHEMA = _closed(
+    {
         "masses": _MASSES,
         "potential": _POTENTIAL,
-        "state": {
-            "type": "object",
-            "properties": {"sigma1_over_k": _RATIO, "sigma2_over_k": _RATIO},
-            "required": ["sigma1_over_k", "sigma2_over_k"],
-            "additionalProperties": False,
-        },
+        "state": _closed(
+            {"sigma1_over_k": _RATIO, "sigma2_over_k": _RATIO}, "sigma1_over_k", "sigma2_over_k"
+        ),
         "k_axis": _MOMENTUM_AXIS,
         "engine": _ENGINE,
     },
-    "required": ["masses", "potential", "state", "k_axis"],
-    "additionalProperties": False,
-}
+    "masses",
+    "potential",
+    "state",
+    "k_axis",
+)
 
 
-def _axis_schema(item_schema: dict) -> dict:
+def _axis_schema(item: dict) -> dict:
     return {
         "oneOf": [
-            {
-                "type": "object",
-                "properties": {
-                    "start": item_schema,
-                    "stop": item_schema,
-                    "num": {"type": "integer", "minimum": 1},
-                },
-                "required": ["start", "stop", "num"],
-                "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "values": {"type": "array", "items": item_schema, "minItems": 1}
-                },
-                "required": ["values"],
-                "additionalProperties": False,
-            },
+            _closed({"start": item, "stop": item, "num": _NUM}, "start", "stop", "num"),
+            _closed({"values": {"type": "array", "items": item, "minItems": 1}}, "values"),
         ]
     }
 
 
-REFLECTMAP_SCHEMA = {
-    "type": "object",
-    "properties": {"mu1_axis": _axis_schema(_RATIO), "c_axis": _axis_schema(_POS)},
-    "required": ["mu1_axis", "c_axis"],
-    "additionalProperties": False,
-}
+REFLECTMAP_SCHEMA = _closed(
+    {"mu1_axis": _axis_schema(_RATIO), "c_axis": _axis_schema(_POS)}, "mu1_axis", "c_axis"
+)
 
 
 # --------------------------------------------------------------------------
@@ -512,17 +457,20 @@ def cmd_purity(cfg: dict, sha: str, out: Optional[Path], strict: bool) -> int:
         raise ConfigError(f"$.state: {exc}") from exc
     eng = _engine_from(cfg)
 
-    if model is None:
-        report = purity_adaptive(
-            ModeWavefunction(Mode.IN, state),
-            mode_grid(state, Mode.IN, eng["base_n"]),
-            rel_tol=eng["rel_tol"],
-            n_cap=eng["n_cap"],
-        )
-        approximations = None
-    else:
-        approximations = _approximations(model, state)
-        report = purity_out(state, model, **eng)
+    try:
+        if model is None:
+            report = purity_adaptive(
+                ModeWavefunction(Mode.IN, state),
+                mode_grid(state, Mode.IN, eng["base_n"]),
+                rel_tol=eng["rel_tol"],
+                n_cap=eng["n_cap"],
+            )
+            approximations = None
+        else:
+            approximations = _approximations(model, state)
+            report = purity_out(state, model, **eng)
+    except _POINT_FAILURES as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
     payload = {
         "version": __version__,
@@ -583,9 +531,9 @@ def _sweep_point(
 
     A failure that depends on the point's configuration (the state rejects
     its widths, its amplitudes at k are not finite, or its wave function
-    vanishes or has non-finite samples) fills only k, mu1 and error and
-    leaves the numbers NaN. Anything else is a defect and propagates, so the
-    sweep exits 1.
+    vanishes, has non-finite samples or is not resolved by the grid) fills
+    only k, mu1 and error and leaves the numbers NaN. Anything else is a
+    defect and propagates, so the sweep exits 1.
     """
     mp = model.masses
     row = dict.fromkeys((name for name, _ in SWEEP_COLUMNS), float("nan"))
@@ -598,7 +546,7 @@ def _sweep_point(
         return row
     try:
         rep = purity_out(state, model, **eng, spectrum=False)  # no column prints it
-    except (ZeroWavefunctionError, FloatingPointError) as exc:
+    except _POINT_FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row.update((name, v) for name, v in approx.items() if name in row)

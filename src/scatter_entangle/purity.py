@@ -89,8 +89,6 @@ __all__ = [
     "WeightedAmplitudeMatrix",
     "PurityReport",
     "ZeroWavefunctionError",
-    "axis_nodes",
-    "check_ladder",
     "discretize",
     "purity_from_matrix",
     "purity_adaptive",
@@ -304,12 +302,20 @@ def purity_from_matrix(
     Raises :class:`ZeroWavefunctionError` once Tr(G)^2 falls below the
     smallest normal double (Tr(G) below 1.5e-154): ||G||_F^2 <= Tr(G)^2 is
     then subnormal or zero, and the purity loses digits (4e-6 relative at
-    Tr(G) = 1e-158) or is 0/0.
+    Tr(G) = 1e-158) or is 0/0. Raises FloatingPointError once Tr(G)^2
+    overflows (Tr(G) above 1.3e154), which only a grid that does not
+    resolve the wave function samples.
     """
     norm_sq = wam.norm_sq
-    if norm_sq**2 < _TINY:
+    try:
+        norm_sq_sq = norm_sq**2
+    except OverflowError:
+        raise FloatingPointError(
+            f"wave function not resolved on the grid (squared norm {norm_sq:.3g})"
+        ) from None
+    if norm_sq_sq < _TINY:
         raise ZeroWavefunctionError(f"wave function vanishes (squared norm {norm_sq:.3g})")
-    purity = float(np.sum(np.abs(wam.gram) ** 2)) / norm_sq**2
+    purity = float(np.sum(np.abs(wam.gram) ** 2)) / norm_sq_sq
     return purity, _schmidt_spectrum(wam.gram) if spectrum else None
 
 

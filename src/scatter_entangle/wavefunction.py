@@ -50,7 +50,6 @@ __all__ = [
     "GaussianInState",
     "Mode",
     "ModeWavefunction",
-    "eval_amplitudes",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -168,8 +167,11 @@ def _in_norm(state: GaussianInState) -> float:
 def _in_envelopes(state: GaussianInState, pm: PairMomentum) -> tuple:
     """The envelope exponents (p1 - k)^2 / (4 sigma1^2) and (p2 + k)^2 / (4 sigma2^2)."""
     p1, p2 = pm
-    d1 = (np.subtract(p1, state.k) ** 2) / (4.0 * state.sigma1**2)
-    d2 = (np.add(p2, state.k) ** 2) / (4.0 * state.sigma2**2)
+    # far down a narrow axis the quotient overflows to +inf, which is its
+    # right value: the envelope exp(-inf) is 0
+    with np.errstate(over="ignore"):
+        d1 = (np.subtract(p1, state.k) ** 2) / (4.0 * state.sigma1**2)
+        d2 = (np.add(p2, state.k) ** 2) / (4.0 * state.sigma2**2)
     return d1, d2
 
 
@@ -284,5 +286,9 @@ def eval_amplitudes(
         e = np.asarray(np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2))
         return np.conjugate(e, out=e, where=neg)
 
-    return model.amplitudes(q_abs, phase)
+    # a phase that overflows where the window reaches past the central
+    # momentum's finite one gives non-finite samples, which discretize counts
+    # and reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return model.amplitudes(q_abs, phase)
 

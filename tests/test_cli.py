@@ -647,6 +647,90 @@ def test_amplitudes_that_overflow_at_k_are_a_config_error_or_a_row_error(tmp_pat
     assert capsys.readouterr().err == ""
 
 
+# the double delta's phase 2 q a is finite at k = 0.5 but overflows on the
+# window from q = 0.9; the hard core's ridge, 1e-100 wide on a 1e101 window,
+# is resolved by no grid up to the cap, and its squared norm's square overflows
+QUADRATURE_FAILURES = [
+    pytest.param(
+        {"potential": OVERFLOWING_DOUBLE_DELTA, "k": 0.5, "widths_over_k": (0.2, 0.1)},
+        "FloatingPointError: 896 non-finite samples on 64x64 grid, first at ",
+        id="non_finite_samples",
+    ),
+    pytest.param(
+        {"potential": {"kind": "hard_core"}, "k": 1e100, "widths_over_k": (1e-200, 0.1)},
+        "FloatingPointError: wave function not resolved on the grid (squared norm ",
+        id="unresolved_norm",
+    ),
+]
+
+
+def _failing_config(command, potential, k, widths_over_k):
+    s1, s2 = widths_over_k
+    cfg = {"masses": {"mu1": 0.2}, "potential": potential}
+    if command == "purity":
+        return dict(cfg, state={"k": k, "sigma1": s1 * k, "sigma2": s2 * k})
+    state = {"sigma1_over_k": s1, "sigma2_over_k": s2}
+    return dict(cfg, state=state, k_axis={"start": k, "stop": k, "num": 1})
+
+
+@pytest.mark.parametrize("point, message", QUADRATURE_FAILURES)
+def test_a_points_own_quadrature_failure_is_a_config_error_in_purity(
+    tmp_path, capsys, point, message
+):
+    cfg = write_config(tmp_path, "pur.json", _failing_config("purity", **point))
+    assert run(["purity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point, message", QUADRATURE_FAILURES)
+def test_a_points_own_quadrature_failure_is_a_row_error_in_sweep(
+    tmp_path, capsys, point, message
+):
+    cfg = write_config(tmp_path, "sweep.json", _failing_config("sweep", **point))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    (error,) = cols["error"]
+    assert error.startswith(message)
+    assert (cols["purity_exact"], cols["converged"]) == (["nan"], ["false"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["purity", "sweep"])
+def test_quadrature_failures_leak_no_warning_from_the_engine(tmp_path, command):
+    # pytest's warning filter does not reach a fresh interpreter; -W error does
+    cfg_dicts = [_failing_config(command, **p.values[0]) for p in QUADRATURE_FAILURES]
+    for i, cfg_dict in enumerate(cfg_dicts):
+        cfg = write_config(tmp_path, f"{command}{i}.json", cfg_dict)
+        proc = _python(["-W", "error", "-m", "scatter_entangle.cli", command, "--config", str(cfg)])
+        assert proc.returncode == (2 if command == "purity" else 0), proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_every_config_object_is_closed():
+    def objects(node):
+        if isinstance(node, dict):
+            if node.get("type") == "object":
+                yield node
+            for value in node.values():
+                yield from objects(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from objects(value)
+
+    for schema in (
+        cli.AMPLITUDES_SCHEMA,
+        cli.PURITY_SCHEMA,
+        cli.SWEEP_SCHEMA,
+        cli.REFLECTMAP_SCHEMA,
+    ):
+        nodes = list(objects(schema))
+        assert nodes and all(node["additionalProperties"] is False for node in nodes)
+
+
 def test_a_width_ratio_whose_square_underflows_runs(tmp_path):
     # sigma2 / sigma1 = 1e-200, so c^2 underflows in the reflected purity
     state = {"k": 1e50, "sigma1": 1e49, "sigma2": 1e-151}

@@ -60,3 +60,11 @@ def test_every_cli_line_parses(capsys):
             cli.build_parser().parse_args(argv)
         except SystemExit as exc:  # --help exits 0, a usage error 2
             assert exc.code == 0, f"{line}: {capsys.readouterr().err}"
+
+
+def test_every_cli_step_turns_warnings_into_errors():
+    # pytest's filterwarnings setting does not reach the processes a step runs
+    cli_steps = [s for s in steps() if "scatter-entangle " in s.get("run", "")]
+    assert cli_steps
+    for step in cli_steps:
+        assert step.get("env", {}).get("PYTHONWARNINGS") == "error", step.get("name")
