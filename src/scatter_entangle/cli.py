@@ -354,7 +354,7 @@ def _axis_values(axis_cfg: dict) -> np.ndarray:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))

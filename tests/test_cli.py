@@ -172,6 +172,11 @@ def test_sweep_rows_and_approximation_ordering(tmp_path):
         assert 0.0 < float(exact) <= 1.0
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_a_numpy_bool_prints_as_a_python_bool(value):
+    assert cli._fmt(np.bool_(value)) == cli._fmt(value) == ("true" if value else "false")
+
+
 def test_sweep_output_is_order_stable_across_workers(tmp_path):
     cfg = write_config(tmp_path, "sweep.json", SWEEP_CFG)
     out1 = tmp_path / "w1.csv"

@@ -534,14 +534,28 @@ def test_mode_split_matches_the_joint_grid_where_the_packets_overlap():
     assert abs(rep.purity - joint.purity) <= 1e-6 * joint.purity
 
 
-class _StubLadder:
-    """A sampled ladder at its node caps, with given last changes."""
+def _history(d):
+    """A ladder's last three changes, oldest first; one number is the last change."""
+    return d if isinstance(d, tuple) else (math.nan, math.nan, d)
 
-    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0):
-        self.norm_sq, self.purity, self.d_purity, self.d_norm = norm_sq, purity, d_purity, d_norm
+
+class _StubLadder:
+    """A sampled ladder with given changes, at its node caps unless given
+    ``more``: the purity changes of the levels left to sample, with no norm change."""
+
+    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0, more=()):
+        self.norm_sq, self.purity = norm_sq, purity
+        self.d_purity, self.d_norm = _history(d_purity), _history(d_norm)
+        self.more = list(more)
+        self.grid, self.caps = GridSpec(32, 32, AxisWindow(0.0, 1.0), AxisWindow(0.0, 1.0)), (1024, 1024)
 
     def can_double(self):
-        return False
+        return bool(self.more)
+
+    def sample(self):
+        d = self.more.pop(0)
+        self.purity += d
+        self.d_purity, self.d_norm = self.d_purity[1:] + (d,), self.d_norm[1:] + (0.0,)
 
 
 def test_branch_changes_that_cancel_keep_the_estimate_up():
@@ -555,6 +569,55 @@ def test_branch_changes_that_cancel_keep_the_estimate_up():
     ladders = [_StubLadder(0.5, 0.4, 0.0, 1e-4), _StubLadder(0.5, 0.6, 0.0, -1e-4)]
     est = purity_module._refine(ladders, 1e-5)
     assert est == pytest.approx(2 * 2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
+
+
+def test_two_geometric_ratios_stop_the_ladder_with_the_tail():
+    # ratios 0.4 then 0.25: the raw estimate 1e-4 / 0.5 misses rel_tol, the
+    # tail 1e-4 * 0.25 / 0.75 / 0.5 meets it, and no level is sampled
+    lad = _StubLadder(1.0, 0.5, (1e-3, 4e-4, 1e-4), more=[1e-5])
+    est = purity_module._refine([lad], 1e-4)
+    assert est == pytest.approx(1e-4 * (0.25 / 0.75) / 0.5, rel=1e-12)
+    assert lad.more == [1e-5]
+    # norm changes are read as a tail on their own: P = 0.25 and
+    # 2 |w_b p_b - P| / N = 0.1, so the raw estimate reads 4e-5
+    ladders = [_StubLadder(0.5, 0.4, 0.0, (1e-3, 4e-4, 1e-4)), _StubLadder(0.5, 0.6, 0.0)]
+    est = purity_module._refine(ladders, 2e-5)
+    assert est == pytest.approx(0.1 * 1e-4 * (0.25 / 0.75) / 0.25, rel=1e-12)
+
+
+def test_one_small_ratio_after_a_large_one_does_not_stop_the_ladder():
+    # reference row k = 0.385b: its transmitted branch's 128 -> 256 change
+    # fell by 9x after one that barely fell, and a tail read from that one
+    # ratio stopped it 1.1e-5 from the total. Here the tail would read
+    # 2.5e-6, but the ratio before is 0.9, so the ladder doubles and stops
+    # on the raw change of the next level.
+    lad = _StubLadder(1.0, 0.5, (1e-4, 9e-5, 1e-5), more=[1e-6])
+    est = purity_module._refine([lad], 1e-5)
+    assert lad.more == []
+    assert est == 1e-6 / (0.5 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "changes", [(0.0, 1e-4, 1e-5), (1e-3, 0.0, 1e-5)], ids=["d_n-2", "d_n-1"]
+)
+def test_a_zero_earlier_change_keeps_the_last_change(changes):
+    # numpy zeros, whose quotient would warn, and the warning fail the suite
+    lad = _StubLadder(1.0, 0.5, tuple(np.float64(d) for d in changes))
+    assert purity_module._refine([lad], 1e-5) == 1e-5 / 0.5
+
+
+def test_a_raw_estimate_within_rel_tol_is_reported_as_it_is():
+    # geometric changes, but the raw estimate 2e-6 already meets rel_tol
+    lad = _StubLadder(1.0, 0.5, (1e-3, 4e-4, 1e-6))
+    assert purity_module._refine([lad], 1e-5) == 1e-6 / 0.5
+
+
+def test_reports_hold_python_bools():
+    # a numpy bool would print as True in the sweep CSV and break json.dump
+    rep = purity_out(TILTED, AmplitudeModel.hard_core(TILTED.masses), spectrum=False)
+    assert type(rep.converged) is bool
+    assert type(rep.ref_report.converged) is bool
+    json.dumps(rep.as_dict())
 
 
 def test_a_small_branch_stops_short_of_its_own_tolerance():

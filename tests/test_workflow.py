@@ -1,6 +1,7 @@
 """The CI workflow parses, its shell steps are valid bash, its command lines
-are valid for the CLI, and its reference sweep runs the benchmark's
-reference config."""
+are valid for the CLI, its reference sweep runs the benchmark's
+reference config, and a step checks the tolerance audit's data against its
+script."""
 
 import json
 import re
@@ -68,3 +69,9 @@ def test_every_cli_step_turns_warnings_into_errors():
     assert cli_steps
     for step in cli_steps:
         assert step.get("env", {}).get("PYTHONWARNINGS") == "error", step.get("name")
+
+
+def test_a_step_checks_the_tolerance_audit_data_against_its_script():
+    lines = [line.strip() for step in steps() for line in step.get("run", "").splitlines()]
+    assert "python tests/tolerance_audit.py --check" in lines
+    assert (ROOT / "tests" / "tolerance_audit.py").is_file()
