@@ -516,7 +516,7 @@ SWEEP_COLUMNS = [
     ("purity_exact", "quadrature purity of the out-state"),
     ("purity_tra", "transmitted-branch contribution w_t^2 * p_t"),
     ("purity_ref", "reflected-branch contribution w_r^2 * p_r"),
-    ("overlap", "|<transmitted|reflected>| on the joint grid"),
+    ("overlap", "|<transmitted|reflected>|"),
     ("grid_N", "largest per-axis node count used"),
     ("est_error", "estimated relative error of the total"),
     ("converged", "true if the total's error estimate met rel_tol before the node caps"),

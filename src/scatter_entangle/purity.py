@@ -84,10 +84,17 @@ matter once the packets' momentum ranges overlap: at mu1 = 0.2, sigma =
 purity of the out-mode sampled on one joint grid. ``converged`` does not
 bound these terms, and neither does the overlap |<t|r>| that
 :func:`purity_out` reports (5.3e-6 in the case above).
+
+That overlap samples no grid. Scattering leaves the total momentum P
+unchanged and the reflected branch is phi_in at (P, -q), so its integrand
+factors into a Gaussian in P, integrated in closed form, and a function of
+q, integrated on 1,024 Gauss-Legendre nodes over [0, 8 s], where
+1/s^2 = 1/sigma1^2 + 1/sigma2^2 (see :func:`_branch_overlap`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -697,11 +704,7 @@ def mode_grid(state: GaussianInState, mode: Mode, n: NPair = _BASE_N) -> GridSpe
 
 
 def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
-    """Single grid whose windows cover both the in and reflected lobes.
-
-    The default of 256 nodes per axis is the grid on which :func:`purity_out`
-    samples its overlap diagnostic.
-    """
+    """Single grid whose windows cover both the in and reflected lobes."""
     n1, n2 = _as_pair(n)
     windows = []
     for wi, wr in zip(_lobe_windows(state, False), _lobe_windows(state, True)):
@@ -709,6 +712,55 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
         hi = max(wi.center + wi.halfwidth, wr.center + wr.halfwidth)
         windows.append(AxisWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
     return GridSpec(n1=n1, n2=n2, window1=windows[0], window2=windows[1])
+
+
+# Gauss-Legendre nodes of the overlap's q integral. Against 16 panels of
+# 1,024 nodes they are within 1.1e-14 (relative) on light delta draws and
+# criterion-10 points. On the reference sweep's rows from k = 0.337b, whose
+# narrow resonances lie inside the q window, they are off by 7.8e-9 to
+# 8.6e-4, where a 256^2 joint grid was off by 2.4e-5 to 9.7e-3 and 512
+# nodes by up to 4.7e-3.
+_OVERLAP_N = 1024
+
+
+def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
+    """|<transmitted|reflected>|, as a Gaussian P integral times a 1-D q integral.
+
+    Scattering leaves the total momentum P untouched, and the reflected
+    branch is phi_in at (P, -q). With p1 = mu1 P + q and p2 = mu2 P - q
+    (Jacobian 1) the integrand conj(t phi_in(P, q)) r phi_in(P, -q)
+    separates: the P integral is Gaussian, and the positions enter only as
+    the phase exp(2iq (a2 - a1)). Its closed form, sqrt(pi/A)
+    exp(B^2/(4A) - C) / (2 pi sigma1 sigma2) with A = mu1^2/(2 sigma1^2) +
+    mu2^2/(2 sigma2^2), B = k (mu1/sigma1^2 - mu2/sigma2^2) and
+    C = k^2 (1/sigma1^2 + 1/sigma2^2)/2, reduces to
+    exp(-k^2/(2 sigma_q^2)) / (sqrt(2 pi) sigma_q), so
+
+        <t|r> = exp(-k^2/(2 sigma_q^2)) / (sqrt(2 pi) sigma_q)
+                * 2 int_0^inf conj(t(q)) r(q) exp(-q^2/(2 s^2)) cos(2q (a2 - a1)) dq,
+
+    1/s^2 = 1/sigma1^2 + 1/sigma2^2, since t and r are taken at |q|. The
+    exponent is at most -1/2 and underflows to an exact 0 for narrow
+    packets. The q integral runs over [0, 8 s] (the module's +-8 sigma rule)
+    on 1,024 Gauss-Legendre nodes, with one amplitude call. Raises
+    FloatingPointError if its integrand is not finite.
+    """
+    s = 1.0 / float(np.hypot(1.0 / state.sigma1, 1.0 / state.sigma2))
+    half = 0.5 * _NSIG * s
+    q, w = axis_nodes(_OVERLAP_N, AxisWindow(half, half))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t, r = model.amplitudes(q)
+        phase = np.cos(2.0 * (state.a2 - state.a1) * q)
+        f = np.conj(t) * r * np.exp(-0.5 * (q / s) ** 2) * phase
+    bad = ~np.isfinite(f)
+    if np.any(bad):
+        raise FloatingPointError(
+            f"{np.count_nonzero(bad)} non-finite overlap integrands on {_OVERLAP_N} "
+            f"relative momenta, first at q = {q[bad][0]:.6g}"
+        )
+    sq = state.sigma_q
+    p_integral = math.exp(-0.5 * (state.k / sq) ** 2) / (math.sqrt(2.0 * math.pi) * sq)
+    return p_integral * float(abs(2.0 * np.dot(w, f)))
 
 
 def purity_out(
@@ -734,15 +786,16 @@ def purity_out(
     split drops the one-particle cross terms between the branches, which
     matter when the packets' momentum ranges overlap (see the module
     docstring); ``converged`` does not bound those terms. The overlap
-    |<transmitted|reflected>| samples both branch wave functions through
-    :func:`discretize` on :func:`joint_grid`'s default grid (256 x 256
-    nodes over +-8 sigma windows) and takes their weighted inner product; it
-    is not a bound on the split's error either. A branch that vanishes in
-    the sense of :func:`purity_from_matrix` (the hard core's transmission,
-    or a weight below 1.5e-154, whose share w^2 p of the total lies far
-    below roundoff) contributes nothing and is marked absent via a None
-    sub-report; the overlap is then 0.0 exactly, and no joint grid is
-    sampled. All settings are checked by :func:`check_ladder` first. With
+    |<transmitted|reflected>| factors into a closed-form integral over the
+    total momentum times a 1-D integral over q on 1,024 Gauss-Legendre
+    nodes (see :func:`_branch_overlap`); it is not a bound on the split's
+    error either, and a non-finite integrand raises FloatingPointError. A
+    branch that vanishes in the sense of :func:`purity_from_matrix` (the
+    hard core's transmission, or a weight below 1.5e-154, whose share
+    w^2 p of the total lies far below roundoff) contributes nothing and is
+    marked absent via a None sub-report; the overlap is then 0.0 exactly,
+    and no integral is computed. All settings are checked by
+    :func:`check_ladder` first. With
     ``spectrum`` false neither branch runs its final eigensolve and the
     report's spectra are None.
     """
@@ -768,10 +821,8 @@ def purity_out(
 
     lams = [weights[m] * r.schmidt_spectrum for m, r in reports.items()] if spectrum else None
 
-    overlap = 0.0  # an absent branch overlaps nothing; no grid is sampled
-    if len(sampled) == 2:
-        jg = joint_grid(state)
-        overlap = abs(np.vdot(*(discretize(lad.wavefn, jg).a for lad in sampled)))
+    # an absent branch overlaps nothing; no integral is computed
+    overlap = _branch_overlap(state, model) if len(sampled) == 2 else 0.0
 
     live = reports.values()
     return PurityReport(
@@ -785,7 +836,7 @@ def purity_out(
         oob_weight=max(r.oob_weight for r in live),
         purity_tra=purity_tra,
         purity_ref=purity_ref,
-        overlap=float(overlap),
+        overlap=overlap,
         tra_report=reports.get(Mode.TRANSMITTED),
         ref_report=reports.get(Mode.REFLECTED),
     )

@@ -14,6 +14,7 @@ from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.analytic import reflected_gaussian_purity
 from scatter_entangle.cli import run
 from scatter_entangle.kinematics import MassPartition
+from scatter_entangle.wavefunction import GaussianInState
 
 
 def write_config(tmp_path, name, cfg):
@@ -713,6 +714,38 @@ def test_quadrature_failures_leak_no_warning_from_the_engine(tmp_path, command):
         proc = _python(["-W", "error", "-m", "scatter_entangle.cli", command, "--config", str(cfg)])
         assert proc.returncode == (2 if command == "purity" else 0), proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_non_finite_overlap_integrand_fails_loudly(tmp_path, capsys, monkeypatch):
+    real = AmplitudeModel.amplitudes
+
+    def nan_on_the_overlap_nodes(self, q, phase=None):
+        t, r = real(self, q, phase)
+        if np.ndim(q) == 1:  # the overlap's q nodes; ladders pass 2-D blocks, the CLI scalars
+            t = np.full_like(t, np.nan)
+        return AmplitudePair(t, r)
+
+    monkeypatch.setattr(AmplitudeModel, "amplitudes", nan_on_the_overlap_nodes)
+    message = "FloatingPointError: 1024 non-finite overlap integrands on 1024 relative momenta"
+    mp = MassPartition(0.2)
+    state = GaussianInState(k=1.0, sigma1=0.2, sigma2=0.1, masses=mp)
+    with pytest.raises(FloatingPointError, match=message.split(": ")[1]):
+        purity.purity_out(state, AmplitudeModel.dirac_delta(6.25, mp))
+
+    cfg = write_config(tmp_path, "pur.json", DELTA_PURITY_CFG)
+    assert run(["purity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1
+
+    cfg = write_config(tmp_path, "sweep.json", SWEEP_CFG)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert all(error.startswith(message) for error in cols["error"])
+    assert set(cols["purity_exact"]) == {"nan"} and set(cols["converged"]) == {"false"}
+    assert capsys.readouterr().err == ""
 
 
 def test_every_config_object_is_closed():
