@@ -497,7 +497,7 @@ def cmd_purity(cfg: dict, sha: str, out: Optional[Path], strict: bool) -> int:
     if strict and not report.converged:
         print(
             f"strict: purity unconverged at grid {report.grid_n} "
-            f"(refinement error {report.refinement_error:.3e})",
+            f"(refinement error {report.refinement_error:.3e}, squared norm {report.norm_sq:.6g})",
             file=sys.stderr,
         )
         return EXIT_UNCONVERGED

@@ -89,7 +89,11 @@ That overlap samples no grid. Scattering leaves the total momentum P
 unchanged and the reflected branch is phi_in at (P, -q), so its integrand
 factors into a Gaussian in P, integrated in closed form, and a function of
 q, integrated on 1,024 Gauss-Legendre nodes over [0, 8 s], where
-1/s^2 = 1/sigma1^2 + 1/sigma2^2 (see :func:`_branch_overlap`).
+1/s^2 = 1/sigma1^2 + 1/sigma2^2 (see :func:`_branch_overlap`). Each
+branch's out-of-convention weight, where its incident relative momentum is
+non-positive, factors the same way: |phi_in|^2 integrated over P is a
+Gaussian in q, and the weight is one 1-D integral over q on 64 nodes (see
+:func:`_oob_tails`). The ladders only sample and reduce.
 """
 
 from __future__ import annotations
@@ -100,7 +104,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .kinematics import JacobiMomentum, PairMomentum, jacobi_to_pair, reflect_momenta
 from .wavefunction import _REVERSED_INCIDENT, GaussianInState, Mode, ModeWavefunction
@@ -178,6 +181,9 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     formula and symmetrization) with only that eigensolve replaced, and it
     returns the same bits.
     """
+    # lazy: importing scipy.linalg takes about half of the package's import time
+    from scipy.linalg import eigvalsh_tridiagonal
+
     leg = np.polynomial.legendre
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:])
@@ -206,13 +212,11 @@ def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, np.ndarray]:
 class WeightedAmplitudeMatrix:
     """Wave-function samples with quadrature weights folded in.
 
-    a[i, j] = sqrt(w1_i * w2_j) * phi(nodes1[i], nodes2[j]), with w1 and w2
-    the quadrature weights of the two axes, so that ||a||_F^2 approximates
-    the squared norm of phi on the window.
+    a[i, j] = sqrt(w1_i * w2_j) * phi(x1_i, x2_j), with x1, x2 the nodes and
+    w1, w2 the quadrature weights of the two axes, so that ||a||_F^2
+    approximates the squared norm of phi on the window.
     """
 
-    nodes1: np.ndarray
-    nodes2: np.ndarray
     a: np.ndarray
 
     @cached_property
@@ -303,7 +307,7 @@ def discretize(
             f"{n_bad} non-finite samples on {grid.n1}x{grid.n2} grid, "
             f"first at (p1, p2) = ({first_bad[0]:.6g}, {first_bad[1]:.6g})"
         )
-    return WeightedAmplitudeMatrix(nodes1=x1, nodes2=x2, a=a)
+    return WeightedAmplitudeMatrix(a)
 
 
 def purity_from_matrix(
@@ -396,7 +400,13 @@ class PurityReport:
     lists the transmitted levels and then the reflected ones, and the
     estimate is the total's (see :func:`purity_out`), while ``tra_report``
     and ``ref_report`` keep each branch's own estimate, by the same raw-first
-    rule, and ``converged``. ``schmidt_spectrum`` holds
+    rule, and ``converged``. The out-state's ``converged`` also asks that
+    ``norm_sq`` lie within rel_tol of 1, the norm of the out-state, which a
+    grid whose nodes collapse below ulp(k) misses. Only out-state reports
+    and their sub-reports carry ``oob_weight``, each branch's weight at
+    incident q <= 0 over its squared norm and, at the top level, the
+    largest of them; a ladder over any other callable leaves it None.
+    ``schmidt_spectrum`` holds
     one weight per row of the final grid's Gram matrix, descending; the
     weights past its numerical rank are exact zeros, and the others are low
     by at most 4 eps (pivoted Cholesky, see :func:`purity_from_matrix`). It
@@ -493,8 +503,8 @@ class _Ladder:
     ``d_purity`` and ``d_norm`` are the last three changes between levels,
     oldest first, NaN where the ladder has fewer levels. :meth:`sample`
     reduces each level as it is drawn to what the ladder and its report read
-    of it: purity, norm, oob weight and, for a spectrum, the Gram matrix G.
-    So no ladder holds samples A past the level that drew them.
+    of it: purity, norm and, for a spectrum, the Gram matrix G. So no ladder
+    holds samples A past the level that drew them.
     """
 
     def __init__(self, wavefn, grid: GridSpec, n_cap: NPair, spectrum: bool) -> None:
@@ -502,7 +512,7 @@ class _Ladder:
         self.trace = []
         self.purity = self.norm_sq = float("nan")
         self.d_purity = self.d_norm = (float("nan"),) * 3
-        self.gram = self.oob = None
+        self.gram = None
 
     def sample(self) -> None:
         self.gram = None  # the last level's G would otherwise outlive the next A
@@ -512,18 +522,18 @@ class _Ladder:
         self.d_norm = self.d_norm[1:] + (wam.norm_sq - self.norm_sq,)
         self.purity, self.norm_sq = purity, wam.norm_sq
         self.trace.append((self.grid.n1, self.grid.n2, purity))
-        oob_fn = getattr(self.wavefn, "incident_oob_mask", None)
-        mask = None if oob_fn is None else oob_fn(wam.nodes1[:, None], wam.nodes2[None, :])
-        if mask is not None:
-            self.oob = float(np.sum(np.abs(wam.a[mask]) ** 2) / wam.norm_sq)
         if self.spectrum:
             self.gram = wam.gram
 
     def can_double(self) -> bool:
         return self.grid.doubled(*self.caps) != self.grid
 
-    def report(self, rel_tol: float) -> PurityReport:
-        """This ladder alone, judged by its own changes as :func:`_estimate` judges a total."""
+    def report(self, rel_tol: float, tail: Optional[float] = None) -> PurityReport:
+        """This ladder alone, judged by its own changes as :func:`_estimate` judges a total.
+
+        ``tail``, a branch's weight at incident q <= 0 (see :func:`_oob_tails`),
+        is reported over the last level's squared norm as ``oob_weight``.
+        """
         err = _estimate([self], rel_tol)[0]
         return PurityReport(
             purity=self.purity,
@@ -533,7 +543,7 @@ class _Ladder:
             converged=bool(err <= rel_tol),
             norm_sq=self.norm_sq,
             refinements=tuple(self.trace),
-            oob_weight=self.oob,
+            oob_weight=None if tail is None else tail / self.norm_sq,
         )
 
 
@@ -723,6 +733,16 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
 _OVERLAP_N = 1024
 
 
+def _check_finite(f: np.ndarray, q: np.ndarray, label: str) -> None:
+    """FloatingPointError if an integrand over the relative momenta q is not finite."""
+    bad = ~np.isfinite(f)
+    if np.any(bad):
+        raise FloatingPointError(
+            f"{np.count_nonzero(bad)} non-finite {label} integrands on {q.size} "
+            f"relative momenta, first at q = {q[np.nonzero(bad)[-1][0]]:.6g}"
+        )
+
+
 def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
     """|<transmitted|reflected>|, as a Gaussian P integral times a 1-D q integral.
 
@@ -752,15 +772,50 @@ def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
         t, r = model.amplitudes(q)
         phase = np.cos(2.0 * (state.a2 - state.a1) * q)
         f = np.conj(t) * r * np.exp(-0.5 * (q / s) ** 2) * phase
-    bad = ~np.isfinite(f)
-    if np.any(bad):
-        raise FloatingPointError(
-            f"{np.count_nonzero(bad)} non-finite overlap integrands on {_OVERLAP_N} "
-            f"relative momenta, first at q = {q[bad][0]:.6g}"
-        )
+    _check_finite(f, q, "overlap")
     sq = state.sigma_q
-    p_integral = math.exp(-0.5 * (state.k / sq) ** 2) / (math.sqrt(2.0 * math.pi) * sq)
+    # x * x, unlike x ** 2, overflows to inf rather than raising, and the factor is then 0
+    x = state.k / sq
+    p_integral = math.exp(-0.5 * (x * x)) / (math.sqrt(2.0 * math.pi) * sq)
     return p_integral * float(abs(2.0 * np.dot(w, f)))
+
+
+# Gauss-Legendre nodes of the out-of-convention tails' u integral: the
+# ladders' default base level, whose rule is then cached. Against adaptive
+# quadrature in q they are within 8e-14 (relative) on the light bench
+# workload's 72 hard-core and delta points, 5.2e-13 on the 24 criterion-10
+# points, and 1.1e-11 on the reference sweep's rows up to k = 0.193b. From
+# there narrow resonances of the double delta's |t|^2 lie inside
+# [0, 8 sigma_q], which a fixed rule does not resolve: the transmitted tail,
+# below 1e-15 of the in-state, is off by up to 130 % and the reflected one
+# by up to 3.4e-6 (1.9e-2 and 4.6e-8 on 1,024 nodes).
+_TAIL_N = 64
+
+
+def _oob_tails(state: GaussianInState, model: AmplitudeModel) -> list:
+    """Each branch's weight at incident relative momentum q <= 0, (transmitted, reflected).
+
+    Amplitudes exist only for incident q > 0 and are evaluated at |q|.
+    Integrated over the total momentum P, |phi_in|^2 is the Gaussian
+    g(q) = exp(-(q - k)^2 / (2 sigma_q^2)) / (sqrt(2 pi) sigma_q). The
+    transmitted branch is incident at q, and the reflected one, phi_in at
+    (P, -q), at -q; so each branch's weight outside the convention is
+
+        int_0^inf |a(u)|^2 g(-u) du,  a = t or r,
+
+    taken on 64 Gauss-Legendre nodes over [0, 8 sigma_q] (the module's
+    +-8 sigma rule) with one amplitude call. The Gaussian underflows to an
+    exact 0 for narrow packets. Raises FloatingPointError if an integrand
+    is not finite.
+    """
+    sq = state.sigma_q
+    u, w = axis_nodes(_TAIL_N, AxisWindow(0.5 * _NSIG * sq, 0.5 * _NSIG * sq))
+    # the square overflows to inf far down a narrow packet's tail, where g is 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.exp(-0.5 * ((u + state.k) / sq) ** 2) / (math.sqrt(2.0 * math.pi) * sq)
+        f = np.abs(np.stack(model.amplitudes(u))) ** 2 * g
+    _check_finite(f, u, "out-of-convention")
+    return (f @ w).tolist()
 
 
 def purity_out(
@@ -780,7 +835,10 @@ def purity_out(
     the estimate meets rel_tol, raw or, where the branches' changes shrink
     geometrically, read as the tail of their series.
     ``refinement_error`` is that estimate and ``converged`` says it met
-    rel_tol before the node caps; each branch's sub-report keeps its own
+    rel_tol before the node caps and that ``norm_sq`` lies within rel_tol
+    of 1: the in-state is normalized and scattering unitary, so a norm
+    further off shows a grid that does not resolve the packet, whose
+    levels may still agree. Each branch's sub-report keeps its own
     estimate, by the same raw-first rule on its own changes, and its own
     ``converged``, which a branch with a small weight may leave false. The
     split drops the one-particle cross terms between the branches, which
@@ -794,7 +852,11 @@ def purity_out(
     hard core's transmission, or a weight below 1.5e-154, whose share
     w^2 p of the total lies far below roundoff) contributes nothing and is
     marked absent via a None sub-report; the overlap is then 0.0 exactly,
-    and no integral is computed. All settings are checked by
+    and no integral is computed. Each live branch's ``oob_weight`` is its
+    weight at incident q <= 0, a 1-D integral over q (see
+    :func:`_oob_tails`), over its ladder's squared norm; the report's is
+    the largest. It is computed after the overlap, and a non-finite
+    integrand raises FloatingPointError too. All settings are checked by
     :func:`check_ladder` first. With
     ``spectrum`` false neither branch runs its final eigensolve and the
     report's spectra are None.
@@ -814,24 +876,25 @@ def purity_out(
 
     sampled = list(ladders.values())
     est = _refine(sampled, rel_tol)
+    # an absent branch overlaps nothing; no integral is computed
+    overlap = _branch_overlap(state, model) if len(sampled) == 2 else 0.0
+    tails = dict(zip((Mode.TRANSMITTED, Mode.REFLECTED), _oob_tails(state, model)))
     weights = dict(zip(ladders, _weights(sampled)))
-    reports = {mode: lad.report(rel_tol) for mode, lad in ladders.items()}
+    reports = {mode: lad.report(rel_tol, tails[mode]) for mode, lad in ladders.items()}
     parts = {mode: weights[mode] ** 2 * rep.purity for mode, rep in reports.items()}
     purity_tra, purity_ref = (parts.get(m, 0.0) for m in (Mode.TRANSMITTED, Mode.REFLECTED))
 
     lams = [weights[m] * r.schmidt_spectrum for m, r in reports.items()] if spectrum else None
 
-    # an absent branch overlaps nothing; no integral is computed
-    overlap = _branch_overlap(state, model) if len(sampled) == 2 else 0.0
-
     live = reports.values()
+    norm_sq = sum(r.norm_sq for r in live)
     return PurityReport(
         purity=purity_tra + purity_ref,
         schmidt_spectrum=np.sort(np.concatenate(lams))[::-1] if spectrum else None,
         grid_n=tuple(max(n) for n in zip(*(r.grid_n for r in live))),
         refinement_error=est,
-        converged=bool(est <= rel_tol),
-        norm_sq=sum(r.norm_sq for r in live),
+        converged=bool(est <= rel_tol and abs(norm_sq - 1.0) <= rel_tol),
+        norm_sq=norm_sq,
         refinements=tuple(tr for r in live for tr in r.refinements),
         oob_weight=max(r.oob_weight for r in live),
         purity_tra=purity_tra,

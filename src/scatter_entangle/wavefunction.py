@@ -10,9 +10,10 @@ Scattering leaves the total momentum component untouched and acts on the
 relative momentum q; the out-state splits into a transmitted piece
 t(q) phi_in and a reflected piece r(q) phi_in composed with the reflection
 map q -> -q. Amplitudes are defined for q > 0 and evaluated at |q| here; the
-weight a mode carries where its *incident* momentum is non-positive is a
-Gaussian tail (of order exp(-(k/sigma_q)^2 / 2)) and is surfaced as an
-out-of-convention diagnostic rather than hidden.
+weight a branch carries where its *incident* momentum is non-positive is a
+Gaussian tail (of order exp(-(k/sigma_q)^2 / 2)). ``purity.purity_out``
+reports it per branch as ``oob_weight`` rather than hiding it, from a 1-D
+integral over q that calls no mode.
 
 The scattered modes form their Gaussians from 1-D pieces, by one formula
 for any input shape, so each sample depends only on its own (p1, p2) and
@@ -43,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .amplitudes import AmplitudeModel, AmplitudePair
-from .kinematics import MassPartition, PairMomentum, pair_to_jacobi, reflect_momenta
+from .kinematics import MassPartition, PairMomentum, reflect_momenta
 
 __all__ = [
     "IncomingnessWarning",
@@ -223,10 +224,6 @@ class ModeWavefunction:
         if self.mode in _NEEDS_MODEL and self.amplitudes is None:
             raise ValueError(f"mode {self.mode.value} needs an amplitude model")
 
-    @property
-    def masses(self) -> MassPartition:
-        return self.in_state.masses
-
     def __call__(self, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
         """Evaluate this mode at pair momenta, broadcasting p1 against p2."""
         state = self.in_state
@@ -249,18 +246,6 @@ class ModeWavefunction:
             del t
             return r * _eval_reflected_in(state, pm)
         return t * _eval_in_factored(state, pm) + r * _eval_reflected_in(state, pm)
-
-    def incident_oob_mask(self, p1: ArrayLike, p2: ArrayLike) -> Optional[np.ndarray]:
-        """True where this mode's incident relative momentum is <= 0.
-
-        None for ``Mode.OUT``: its transmitted lobe is incident at q and its
-        reflected lobe at -q, so it has no single incident convention.
-        """
-        if self.mode is Mode.OUT:
-            return None
-        q = pair_to_jacobi(PairMomentum(p1, p2), self.masses).q
-        incident = -np.asarray(q) if self.mode in _REVERSED_INCIDENT else np.asarray(q)
-        return incident <= 0.0
 
 
 def eval_amplitudes(

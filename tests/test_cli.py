@@ -748,6 +748,42 @@ def test_a_non_finite_overlap_integrand_fails_loudly(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == ""
 
 
+# Packets too narrow for their k: a narrow axis' nodes collapse below ulp(k),
+# so the ladder agrees with itself on samples that do not resolve the state.
+# At the top of the state range (k = 1.6e151, sigma = 1e-152) k / sigma_q
+# is about 1e303, whose square overflows; the overlap's Gaussian factor is 0.
+UNRESOLVED = {
+    "top_of_range": ({"kind": "delta", "alpha": 1e152}, (6.25e-304, 6.25e-304)),
+    "collapsed_nodes": ({"kind": "delta", "alpha": 6.25}, (2e-18, 1e-18)),
+}
+
+
+@pytest.mark.parametrize("case", UNRESOLVED)
+def test_an_unresolved_packet_is_unconverged(tmp_path, case):
+    potential, (s1, s2) = UNRESOLVED[case]
+    cfg_dict = {"masses": {"mu1": 0.2}, "potential": potential}
+    widths = {"sigma1_over_k": s1, "sigma2_over_k": s2}
+    cfg = write_config(tmp_path, "pur.json", dict(cfg_dict, state={"k_over_b": 1.0, **widths}))
+    # pytest's warning filter does not reach a fresh interpreter; -W error does
+    argv = ["-W", "error", "-m", "scatter_entangle.cli", "purity", "--config", str(cfg)]
+    proc = _python(argv + ["--strict"])
+    assert proc.returncode == 3, proc.stderr
+    rep = json.loads(proc.stdout)["report"]
+    assert rep["refinement_error"] < 1e-6 and rep["converged"] is False
+    assert abs(rep["norm_sq"] - 1.0) > 1.0
+    assert proc.stderr == (
+        f"strict: purity unconverged at grid ({rep['grid_n'][0]}, {rep['grid_n'][1]}) "
+        f"(refinement error {rep['refinement_error']:.3e}, squared norm {rep['norm_sq']:.6g})\n"
+    )
+
+    k_axis = {"start": 1.0, "stop": 1.0, "num": 1, "unit": "b"}
+    cfg = write_config(tmp_path, "sweep.json", dict(cfg_dict, state=widths, k_axis=k_axis))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert (cols["error"], cols["converged"]) == ([""], ["false"])
+
+
 def test_every_config_object_is_closed():
     def objects(node):
         if isinstance(node, dict):
@@ -776,7 +812,10 @@ def test_a_width_ratio_whose_square_underflows_runs(tmp_path):
     payload = purity_payload(tmp_path, cfg_dict)
     assert payload["approximations"]["reflected_purity"] == 1.0
     assert payload["report"]["purity"] == pytest.approx(1.0, abs=1e-6)
-    assert payload["report"]["converged"]
+    # the narrow axis' nodes collapse onto -k, below ulp(k), so the grid does
+    # not resolve the normalized out-state: its squared norm reads 6.38
+    assert payload["report"]["norm_sq"] == pytest.approx(6.38, abs=0.01)
+    assert not payload["report"]["converged"]
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
 
 from scatter_entangle import purity as purity_module
@@ -243,7 +244,7 @@ def test_parts_below_2_to_the_minus_511_are_stored_as_zeros():
     assert np.all(a[tiny] == 0.0)
     assert np.array_equal(a[~tiny].view(np.uint64), r[~tiny].view(np.uint64))
     # what the flush drops lies far below the last bit of the purity
-    unflushed = purity_module.WeightedAmplitudeMatrix(wam.nodes1, wam.nodes2, raw)
+    unflushed = purity_module.WeightedAmplitudeMatrix(raw)
     assert purity_from_matrix(wam, False)[0] == pytest.approx(
         purity_from_matrix(unflushed, False)[0], rel=1e-15
     )
@@ -675,7 +676,12 @@ def test_hard_core_out_ladder_is_unchanged_bitwise():
     assert rep.refinement_error == rep.ref_report.refinement_error
     assert rep.converged
     assert rep.norm_sq == 0.9999999999999925
-    assert rep.oob_weight == 0.00010683714508403628
+    # the tail of g past q = 0 over the branch's norm, from the 1-D rule; the
+    # rule's endpoint weights (numpy's leggauss algorithm, 1.3e-12 relative
+    # at the first node of 64) leave it 1.7e-14 from the closed form
+    assert rep.oob_weight == rep.ref_report.oob_weight == 0.00010650354208228148
+    tail = 0.5 * math.erfc(TILTED.k / (math.sqrt(2.0) * TILTED.sigma_q))
+    assert rep.oob_weight == pytest.approx(tail / rep.norm_sq, rel=2e-14, abs=0.0)
 
 
 def two_branch_peak(spectrum):
@@ -933,24 +939,36 @@ def test_numeric_scale_invariance():
     )
 
 
+def test_a_non_finite_tail_integrand_fails_loudly(monkeypatch):
+    real = AmplitudeModel.amplitudes
+
+    def nan_on_the_tail_nodes(self, q, phase=None):
+        t, r = real(self, q, phase)
+        if np.ndim(q) == 1:  # the tails' nodes; ladders pass 2-D blocks
+            r = np.full_like(r, np.nan)
+        return AmplitudePair(t, r)
+
+    monkeypatch.setattr(AmplitudeModel, "amplitudes", nan_on_the_tail_nodes)
+    # the hard core has one live branch, so no overlap is computed first
+    message = "^64 non-finite out-of-convention integrands on 64 relative momenta, first at q = "
+    with pytest.raises(FloatingPointError, match=message):
+        purity_out(TILTED, AmplitudeModel.hard_core(TILTED.masses), base_n=32, n_cap=32)
+
+
 def test_out_of_convention_weight_tracks_momentum_spread():
     narrow = make_state(mu1=0.5, s1=0.1, s2=0.1)
-    rep = purity_adaptive(
-        ModeWavefunction(Mode.IN, narrow), mode_grid(narrow, Mode.IN, 64), 1e-7
-    )
+    rep = purity_out(narrow, AmplitudeModel.hard_core(narrow.masses), rel_tol=1e-7)
     assert rep.oob_weight < 1e-9
 
     with pytest.warns(Warning):
         wide = make_state(mu1=0.5, s1=0.4, s2=0.4)
-    rep_wide = purity_adaptive(
-        ModeWavefunction(Mode.IN, wide), mode_grid(wide, Mode.IN, 64), 1e-7
-    )
+    rep_wide = purity_out(wide, AmplitudeModel.hard_core(wide.masses), rel_tol=1e-7)
     assert 1e-6 < rep_wide.oob_weight < 1e-2
 
 
 def test_out_mode_ladder_reports_no_oob_weight():
-    # the out mode's lobes are incident at q and at -q, so no one convention
-    # holds on its grid; the single-lobe modes keep theirs
+    # a ladder over any callable has no incident convention to measure;
+    # purity_out takes each branch's weight from the q marginal
     st = make_state(mu1=0.2, s1=0.1, s2=0.2)
     model = AmplitudeModel.dirac_delta(st.k / st.masses.mu_red, st.masses)
     out = purity_adaptive(ModeWavefunction(Mode.OUT, st, model), joint_grid(st, 64), n_cap=64)
@@ -958,5 +976,51 @@ def test_out_mode_ladder_reports_no_oob_weight():
     assert out.as_dict()["oob_weight"] is None
     for mode in (Mode.IN, Mode.REFLECTED_IN, Mode.TRANSMITTED, Mode.REFLECTED):
         fn = ModeWavefunction(mode, st, model)
-        rep = purity_adaptive(fn, mode_grid(st, mode, 64), n_cap=64)
-        assert rep.oob_weight == 0.0, mode
+        assert purity_adaptive(fn, mode_grid(st, mode, 64), n_cap=64).oob_weight is None, mode
+    rep = purity_out(st, model, base_n=32, n_cap=32, spectrum=False)
+    branches = (rep.tra_report.oob_weight, rep.ref_report.oob_weight)
+    assert all(isinstance(w, float) and w > 0.0 for w in branches)
+    assert rep.oob_weight == max(branches)
+    assert rep.as_dict()["tra"]["oob_weight"] == branches[0]
+
+
+def half_line_tails(state, model):
+    """Each branch's weight at incident q <= 0, by adaptive quadrature in q itself.
+
+    The transmitted branch is incident at q, the reflected one (phi_in at
+    (P, -q)) at -q; g is |phi_in|^2 integrated over the total momentum P.
+    """
+    sq, k = state.sigma_q, state.k
+
+    def g(q):
+        return math.exp(-0.5 * ((q - k) / sq) ** 2) / (math.sqrt(2.0 * math.pi) * sq)
+
+    kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    tra = quad(lambda q: abs(model.amplitudes(-q).t) ** 2 * g(q), -np.inf, 0.0, **kw)[0]
+    ref = quad(lambda q: abs(model.amplitudes(q).r) ** 2 * g(-q), 0.0, np.inf, **kw)[0]
+    return tra, ref
+
+
+TAIL_CASES = {
+    "delta": OVERLAP_CASES["delta"],
+    "wide_delta": (make_state(mu1=0.2, s1=0.3, s2=0.3), OVERLAP_CASES["delta"][1]),
+    "double_delta": (BLOCK_STATE, BLOCK_DD),  # criterion 10's w5 + 0.018
+    "narrow_double_delta": (replace(BLOCK_STATE, sigma1=_K / 10, sigma2=_K / 20), BLOCK_DD),
+    "composite": (BLOCK_STATE, BLOCK_MODELS["composite"]),
+    # criterion 10's w = 50: exp(-k^2 / (2 sigma_q^2)) = exp(-1924)
+    "underflow": (replace(BLOCK_STATE, sigma1=_K / 50, sigma2=_K / 100), BLOCK_DD),
+}
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_oob_weight_matches_a_half_line_integral_in_q(case):
+    st, model = TAIL_CASES[case]
+    # the suite turns warnings into errors, so an overflow warning from g would fail here
+    rep = purity_out(st, model, base_n=32, n_cap=32, spectrum=False)
+    want = half_line_tails(st, model)
+    branches = (rep.tra_report, rep.ref_report)
+    got = [b.oob_weight * b.norm_sq for b in branches]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # an exact zero only where g underflows on the whole half line
+    underflows = math.exp(-0.5 * (st.k / st.sigma_q) ** 2) == 0.0
+    assert all((w == 0.0) == underflows for w in got)

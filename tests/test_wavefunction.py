@@ -242,24 +242,6 @@ def test_modes_that_scatter_require_a_model():
     ModeWavefunction(Mode.IN, st)  # fine without one
 
 
-def test_tally_counts_out_of_convention_points():
-    st = make_state(mu1=0.5)
-    model = AmplitudeModel.hard_core(st.masses)
-    ref = ModeWavefunction(Mode.REFLECTED, st, model)
-    # q = (p1 - p2)/2 at equal masses; incident for REFLECTED is -q
-    p1 = np.array([1.0, -1.0, 0.5])
-    p2 = np.array([-1.0, 1.0, 0.5])
-    assert np.all(np.isfinite(ref(p1, p2)))
-    mask = ref.incident_oob_mask(p1, p2)
-    assert mask.size == 3
-    assert np.count_nonzero(mask) == 2  # q > 0 and q == 0 both flag
-    assert ref.incident_oob_mask(np.array([]), np.array([])).size == 0
-
-    mask_in = ModeWavefunction(Mode.IN, st).incident_oob_mask(p1, p2)
-    assert np.count_nonzero(mask_in) == 2  # q < 0 and q == 0
-    np.testing.assert_array_equal(mask_in, [False, True, True])
-
-
 def test_jacobi_evaluation_matches_pair_form():
     st = make_state(mu1=0.2, s1=0.06, s2=0.11)
     rng = np.random.default_rng(11)
