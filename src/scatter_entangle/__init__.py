@@ -4,7 +4,7 @@ Two distinguishable particles approach each other in a product of Gaussian
 wave packets and scatter off a potential in their relative coordinate (hard
 core, Dirac delta, or double Dirac delta). This package computes how
 entangled the particles come out: the purity of the one-particle reduced
-density matrix, evaluated by Gauss-Legendre quadrature and the Gram matrix
+density matrix, evaluated by midpoint-rule quadrature and the Gram matrix
 of the samples (its eigenvalues are the Schmidt weights), together with
 closed forms and constant-amplitude approximations to compare against.
 """

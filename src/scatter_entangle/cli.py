@@ -519,7 +519,11 @@ SWEEP_COLUMNS = [
     ("overlap", "|<transmitted|reflected>|"),
     ("grid_N", "largest per-axis node count used"),
     ("est_error", "estimated relative error of the total"),
-    ("converged", "true if the total's error estimate met rel_tol before the node caps"),
+    (
+        "converged",
+        "true if the total's error estimate met rel_tol before the node caps"
+        " and the squared norm lies within rel_tol of 1",
+    ),
     ("error", "per-point failure message, empty on success"),
 ]
 

@@ -1,7 +1,7 @@
 """Purity of the one-particle reduced density matrix, by quadrature and a Gram matrix.
 
-A two-particle momentum wave function sampled on a tensor Gauss-Legendre
-grid, with quadrature weights folded in as A[i, j] = sqrt(w1_i * w2_j) *
+A two-particle momentum wave function sampled on a tensor midpoint grid,
+with quadrature weights folded in as A[i, j] = sqrt(w1_i * w2_j) *
 phi(p1_i, p2_j), turns the purity integral into matrix algebra. With G the
 smaller of the Gram matrices A^H A and A A^H (Hermitian, the size of A's
 shorter side),
@@ -45,8 +45,9 @@ Windows are decided here and nowhere else. A mode's lobe is centered on
 covariance diag(sigma1^2, sigma2^2) or its congruence R Sigma R^T under
 the reflection map R; its window spans a fixed +-8 sigma per axis, so
 that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
-tightest refinement tolerance, 1e-10. :func:`mode_grid` covers one lobe
-and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
+tightest refinement tolerance, 1e-10. On such windows the midpoint rule
+converges geometrically (see :func:`axis_nodes`). :func:`mode_grid`
+covers one lobe and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
 :func:`purity_pq_adaptive` builds its own grid in (total, relative)
 momenta and samples the state or out-mode there by calling it at the
 corresponding pair momenta. Grids refine by doubling both axes until
@@ -64,8 +65,8 @@ its own purity would meet rel_tol. With one ladder the estimate is the
 successive relative difference of its purity.
 
 A change measures the error of the level before the one it leads to, and
-Gauss-Legendre converges geometrically on these analytic integrands, so a
-ladder's last level often only confirms the one before it. Where the raw
+the midpoint rule converges geometrically on these analytic integrands,
+so a ladder's last level often only confirms the one before it. Where the raw
 estimate misses rel_tol, a second one is tried: purity and norm changes
 whose last two ratios both lie below 1/2 are each read as the tail
 |d_n| rho / (1 - rho), rho = |d_n / d_{n-1}|, of a geometric series, and
@@ -73,10 +74,11 @@ the ladders stop one level early if that estimate meets rel_tol. Asking
 for two ratios follows Laurie's conditions for trusting an extrapolated
 error estimate (BIT 23, 258, 1983); QUADPACK likewise sharpens its raw
 estimates by a heuristic. The branch to double is still picked by raw
-share. On the reference sweep this stops 7 of 24 rows at 512^2 instead of
-1024^2, and 3 of criterion 10's 24 points at 1024x512 instead of
-2048x1024. Each branch's sub-report judges its own changes by the same
-rule, raw first. Neither estimate is a bound (see :func:`_refine`).
+share. On the reference sweep this stops 2 of 24 rows at 512^2 instead of
+1024^2; of the tolerance audit's 96 criterion-10 points it stops one at
+512x256 instead of 1024x512. Each branch's sub-report judges its own
+changes by the same rule, raw first. Neither estimate is a bound (see
+:func:`_refine`).
 
 The split drops the one-particle cross terms between the branches, which
 matter once the packets' momentum ranges overlap: at mu1 = 0.2, sigma =
@@ -88,12 +90,15 @@ bound these terms, and neither does the overlap |<t|r>| that
 That overlap samples no grid. Scattering leaves the total momentum P
 unchanged and the reflected branch is phi_in at (P, -q), so its integrand
 factors into a Gaussian in P, integrated in closed form, and a function of
-q, integrated on 1,024 Gauss-Legendre nodes over [0, 8 s], where
+q, integrated on 8 panels of 128 Gauss-Legendre nodes over [0, 8 s], where
 1/s^2 = 1/sigma1^2 + 1/sigma2^2 (see :func:`_branch_overlap`). Each
 branch's out-of-convention weight, where its incident relative momentum is
 non-positive, factors the same way: |phi_in|^2 integrated over P is a
 Gaussian in q, and the weight is one 1-D integral over q on 64 nodes (see
-:func:`_oob_tails`). The ladders only sample and reduce.
+:func:`_oob_tails`). These two q integrals keep Gauss-Legendre: their
+integrands do not decay at q = 0, the end of their interval, where the
+midpoint rule would converge only algebraically. Their rules are numpy's,
+at most 128 nodes. The ladders only sample and reduce.
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ def _check_n(n: int, label: str) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor Gauss-Legendre grid: n1 x n2 nodes over two axis windows.
+    """Tensor midpoint grid: n1 x n2 nodes over two axis windows (see :func:`axis_nodes`).
 
     Node counts follow a power-of-two progression starting at 32 so that
     refinement by doubling stays within the family.
@@ -170,42 +175,20 @@ class GridSpec:
         return replace(self, n1=min(2 * self.n1, cap1), n2=min(2 * self.n2, cap2))
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.polynomial.legendre.leggauss(n)``, with its eigensolve on the band.
-
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 1969), which
-    numpy hands to a dense O(n^3) solver: about 4 s at n = 4096. This is
-    numpy's algorithm (same companion band, one Newton polish, same weight
-    formula and symmetrization) with only that eigensolve replaced, and it
-    returns the same bits.
-    """
-    # lazy: importing scipy.linalg takes about half of the package's import time
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    leg = np.polynomial.legendre
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    x = eigvalsh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:])
-    c = np.array([0] * n + [1])
-    dy = leg.legval(x, c)
-    df = leg.legval(x, leg.legder(c))
-    x -= dy / df
-    # the weights, scaled against overflow
-    fm = leg.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
-
-
 def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights scaled to the window."""
-    x, w = _leggauss(n)
-    return window.center + window.halfwidth * x, window.halfwidth * w
+    """Midpoint rule on the window: n cells of width h = 2 halfwidth / n, a node at each center.
+
+    x_i = center - halfwidth + h (i + 1/2) and w_i = h. The ladders' integrands
+    are analytic and have fallen to 1e-15 of their peak, with all their
+    derivatives, at both window ends, so the rule converges geometrically,
+    as the trapezoidal rule does on a periodic integrand (Trefethen &
+    Weideman, SIAM Rev. 56, 385, 2014): the endpoint corrections of
+    Euler-Maclaurin are no larger than the truncated tails. Gauss-Legendre,
+    which clusters its nodes at the window ends, needed 4/3 to 2 times the
+    nodes per axis for the same purity.
+    """
+    h = 2.0 * window.halfwidth / n
+    return window.center - window.halfwidth + h * (np.arange(n) + 0.5), np.full(n, h)
 
 
 @dataclass(frozen=True)
@@ -257,7 +240,7 @@ _FLUSH_BELOW = float(np.sqrt(_TINY))
 def discretize(
     wavefn: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
 ) -> WeightedAmplitudeMatrix:
-    """Sample ``wavefn(P1, P2)`` on the grid and fold in quadrature weights.
+    """Sample ``wavefn(P1, P2)`` on the grid's midpoint nodes and fold in their weights.
 
     ``wavefn`` is called on blocks of whole rows, ``wavefn(x1[rows, None],
     x2[None, :])``, and each weighted block is written into its slice of one
@@ -621,7 +604,8 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
 
     The raw estimate reads |dp_b| and |dn_b| as each ladder's last change
     d_n, which measures the error of the level before the reported one.
-    Gauss-Legendre converges geometrically on these analytic integrands, so
+    The midpoint rule converges geometrically on these analytic integrands,
+    which have decayed to 1e-15 at their windows' ends, so
     where the raw estimate misses rel_tol a second one is tried: a change
     whose last two ratios rho = |d_n / d_{n-1}| and |d_{n-1} / d_{n-2}| both
     lie below 1/2 is read as the tail |d_n| rho / (1 - rho) of a geometric
@@ -635,9 +619,12 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
     share, so every ladder's levels are a prefix of those the raw estimate
     alone would sample.
 
-    Neither estimate is a bound. On the reference sweep's row k = 0.241b the
-    raw estimate reads 6.6e-6 where the reported total lies 7.7e-6 from its
-    2048^2 value.
+    Neither estimate is a bound. On the tolerance audit's 192 reference-row
+    and criterion-10 points the reported total lies within its estimate of
+    the fine total except on 12, whose errors are roundoff (below 3e-15);
+    but on the Gauss-Legendre grids the engine sampled before, reference
+    row k = 0.241b read 6.6e-6 where its total lay 7.7e-6 from the fine
+    one.
     """
     while True:
         est, shares = _estimate(ladders, rel_tol)
@@ -724,13 +711,28 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
     return GridSpec(n1=n1, n2=n2, window1=windows[0], window2=windows[1])
 
 
-# Gauss-Legendre nodes of the overlap's q integral. Against 16 panels of
-# 1,024 nodes they are within 1.1e-14 (relative) on light delta draws and
-# criterion-10 points. On the reference sweep's rows from k = 0.337b, whose
-# narrow resonances lie inside the q window, they are off by 7.8e-9 to
-# 8.6e-4, where a 256^2 joint grid was off by 2.4e-5 to 9.7e-3 and 512
-# nodes by up to 4.7e-3.
-_OVERLAP_N = 1024
+# numpy's Gauss-Legendre rules for the 1-D q integrals, whose integrands do
+# not decay at q = 0: the overlap's on 8 panels of 128 nodes, the tails' on
+# 64 nodes (see :func:`_branch_overlap` and :func:`_oob_tails`)
+_gauss_legendre = lru_cache(maxsize=2)(np.polynomial.legendre.leggauss)
+
+
+def _q_nodes(stop: float, n: int, panels: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, stop], n per panel on equal panels."""
+    x, w = _gauss_legendre(n)
+    hw = 0.5 * stop / panels
+    centers = hw * (2 * np.arange(panels) + 1)
+    return (centers[:, None] + hw * x).ravel(), np.tile(hw * w, panels)
+
+
+# Panels and nodes per panel of the overlap's q integral. Against 64 panels
+# of 1,024 nodes (itself within 6.2e-15 of 256 such panels), 8 panels of 128
+# are within 3.3e-15 (relative) on 68 light delta draws and 64 criterion-10
+# points. On the reference sweep's rows from k = 0.313b, whose narrow
+# resonances lie inside the q window, they are off by 1.7e-9 to 9.3e-4,
+# where one rule of 1,024 nodes was off by up to 2.4e-3 and a 256^2 joint
+# grid by 2.4e-5 to 9.7e-3.
+_OVERLAP_PANELS, _OVERLAP_N = 8, 128
 
 
 def _check_finite(f: np.ndarray, q: np.ndarray, label: str) -> None:
@@ -762,12 +764,13 @@ def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
     1/s^2 = 1/sigma1^2 + 1/sigma2^2, since t and r are taken at |q|. The
     exponent is at most -1/2 and underflows to an exact 0 for narrow
     packets. The q integral runs over [0, 8 s] (the module's +-8 sigma rule)
-    on 1,024 Gauss-Legendre nodes, with one amplitude call. Raises
-    FloatingPointError if its integrand is not finite.
+    on 8 equal panels of 128 Gauss-Legendre nodes, with one amplitude call:
+    the integrand does not decay at q = 0, so the ladders' midpoint rule
+    would converge there only algebraically. Raises FloatingPointError if
+    its integrand is not finite.
     """
     s = 1.0 / float(np.hypot(1.0 / state.sigma1, 1.0 / state.sigma2))
-    half = 0.5 * _NSIG * s
-    q, w = axis_nodes(_OVERLAP_N, AxisWindow(half, half))
+    q, w = _q_nodes(_NSIG * s, _OVERLAP_N, _OVERLAP_PANELS)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t, r = model.amplitudes(q)
         phase = np.cos(2.0 * (state.a2 - state.a1) * q)
@@ -780,9 +783,8 @@ def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
     return p_integral * float(abs(2.0 * np.dot(w, f)))
 
 
-# Gauss-Legendre nodes of the out-of-convention tails' u integral: the
-# ladders' default base level, whose rule is then cached. Against adaptive
-# quadrature in q they are within 8e-14 (relative) on the light bench
+# Gauss-Legendre nodes of the out-of-convention tails' u integral. Against
+# adaptive quadrature in q they are within 8e-14 (relative) on the light bench
 # workload's 72 hard-core and delta points, 5.2e-13 on the 24 criterion-10
 # points, and 1.1e-11 on the reference sweep's rows up to k = 0.193b. From
 # there narrow resonances of the double delta's |t|^2 lie inside
@@ -804,12 +806,13 @@ def _oob_tails(state: GaussianInState, model: AmplitudeModel) -> list:
         int_0^inf |a(u)|^2 g(-u) du,  a = t or r,
 
     taken on 64 Gauss-Legendre nodes over [0, 8 sigma_q] (the module's
-    +-8 sigma rule) with one amplitude call. The Gaussian underflows to an
-    exact 0 for narrow packets. Raises FloatingPointError if an integrand
-    is not finite.
+    +-8 sigma rule) with one amplitude call; the integrand peaks at u = 0,
+    the end of its interval, where the midpoint rule would converge only
+    algebraically. The Gaussian underflows to an exact 0 for narrow
+    packets. Raises FloatingPointError if an integrand is not finite.
     """
     sq = state.sigma_q
-    u, w = axis_nodes(_TAIL_N, AxisWindow(0.5 * _NSIG * sq, 0.5 * _NSIG * sq))
+    u, w = _q_nodes(_NSIG * sq, _TAIL_N)
     # the square overflows to inf far down a narrow packet's tail, where g is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = np.exp(-0.5 * ((u + state.k) / sq) ** 2) / (math.sqrt(2.0 * math.pi) * sq)
@@ -845,9 +848,10 @@ def purity_out(
     matter when the packets' momentum ranges overlap (see the module
     docstring); ``converged`` does not bound those terms. The overlap
     |<transmitted|reflected>| factors into a closed-form integral over the
-    total momentum times a 1-D integral over q on 1,024 Gauss-Legendre
-    nodes (see :func:`_branch_overlap`); it is not a bound on the split's
-    error either, and a non-finite integrand raises FloatingPointError. A
+    total momentum times a 1-D integral over q on 8 panels of 128
+    Gauss-Legendre nodes (see :func:`_branch_overlap`); it is not a bound on
+    the split's error either, and a non-finite integrand raises
+    FloatingPointError. A
     branch that vanishes in the sense of :func:`purity_from_matrix` (the
     hard core's transmission, or a weight below 1.5e-154, whose share
     w^2 p of the total lies far below roundoff) contributes nothing and is

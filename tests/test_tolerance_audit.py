@@ -4,7 +4,8 @@ tests/tolerance_audit.py wrote tests/data/tolerance_audit.json: fine-grid
 split totals of the reference sweep's rows and of criterion 10's points, and
 which of them the geometric estimate stops a level early. Each shortened
 point must still converge within rel_tol of its fine total, and still stop
-at its recorded grids, so that the saving stays in place.
+at its recorded grids, so that the saving stays in place; so must every
+other point of seed 0.
 """
 
 import json
@@ -18,19 +19,36 @@ from scatter_entangle.kinematics import MassPartition
 from scatter_entangle.purity import check_ladder, purity_out
 from scatter_entangle.wavefunction import GaussianInState
 
-SHORTENED = [r for r in json.loads(tolerance_audit.DATA.read_text()) if r["shortened"]]
+RECORDS = json.loads(tolerance_audit.DATA.read_text())
+SHORTENED = [r for r in RECORDS if r["shortened"]]
+# the rest of seed 0: the reference sweep and criterion 10 as ROADMAP.md runs them
+SEED0 = [r for r in RECORDS if r["seed"] == 0 and not r["shortened"]]
+
+
+def _label(rec):
+    return f"seed{rec['seed']}-{rec['label']}"
+
+
+def _assert_converges_at_recorded_grids(rec):
+    rep = tolerance_audit.run(rec)
+    assert rep.converged
+    assert abs(rep.purity - rec["fine"]) <= rec["rel_tol"] * rec["fine"]
+    assert tolerance_audit.grids(rep) == rec["grids"]
 
 
 def test_the_audit_records_shortened_points():
     assert SHORTENED
 
 
-@pytest.mark.parametrize("rec", SHORTENED, ids=lambda r: f"seed{r['seed']}-{r['label']}")
+@pytest.mark.parametrize("rec", SHORTENED, ids=_label)
 def test_a_shortened_point_converges_within_rel_tol_at_its_recorded_grids(rec):
-    rep = tolerance_audit.run(rec)
-    assert rep.converged
-    assert abs(rep.purity - rec["fine"]) <= rec["rel_tol"] * rec["fine"]
-    assert tolerance_audit.grids(rep) == rec["grids"]
+    _assert_converges_at_recorded_grids(rec)
+
+
+@pytest.mark.parametrize("rec", SEED0, ids=_label)
+def test_a_seed0_point_converges_within_rel_tol_at_its_recorded_grids(rec):
+    # pins every grid of the two layouts, so that a change to the ladders shows
+    _assert_converges_at_recorded_grids(rec)
 
 
 @pytest.mark.parametrize("mu1", [0.1, 0.9])
