@@ -9,14 +9,16 @@ scatterer lists. Conventions:
 
 * q is the incident relative momentum and must be positive. The models are
   even under q -> -q; callers that need amplitudes on the outgoing branch
-  evaluate at |q| (see the wavefunction module).
+  evaluate at |q| (see the wavefunction module). A refinement level of the
+  purity ladders calls :meth:`AmplitudeModel.amplitudes` once, on the 1-D
+  lattice of the relative momenta its grid takes (see the purity module),
+  so a call sees a plain array of q, of order 10^4 of them.
 * A point scatterer of strength alpha couples through b = mu_red * alpha
   (hbar = 1); the single delta has r = i/(x - i), t = 1 + r with x = q/b.
 * The hard core (t = 0, r = -1) and the single delta keep these closed
   forms, whatever constructor built them. A one-link transfer-matrix chain
-  gives the same delta amplitudes but costs several times more per
-  momentum, and delta purity runs spend a noticeable share of their time
-  evaluating amplitudes.
+  gives the same delta amplitudes to roundoff but costs several times more
+  per momentum, and moves the last bits of most of them.
 * Double-delta and composite amplitudes come from the product of the
   scatterers' transfer matrices, which keeps |t|^2 + |r|^2 = 1 exact. The
   shortcut "r = t - 1" holds only for a single scatterer at the origin and
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,10 +99,7 @@ def delta_amplitudes(q, alpha: float, mp: MassPartition) -> AmplitudePair:
 
 
 def _chain_amplitudes(
-    q: np.ndarray,
-    scatterers: Sequence[Tuple[float, float]],
-    mp: MassPartition,
-    phase: Callable[[float], np.ndarray],
+    q: np.ndarray, scatterers: Sequence[Tuple[float, float]], mp: MassPartition
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(t, r) of point scatterers listed left to right.
 
@@ -114,51 +113,15 @@ def _chain_amplitudes(
     chain's matrix M is the product of the links' matrices in propagation
     order (the rightmost scatterer acts last), and det M = 1 makes
     t = 1/M22 and r = -M21/M22. Only M's second row is needed, so it is
-    built from the right: row2(M) = (0, 1) N_last ... N_first, carried as
-    (n, m22) with n = -M21. The rightmost link maps (0, 1) to
-    (g*conj(e), 1 - g); each link to its left then does
-
-        n   <- n   + g*(m22*conj(e) + n),
-        m22 <- m22 - g*(n*e + m22),
-
-    with n and m22 updated in place. Complex products with fused
-    multiply-adds do not commute bit for bit, so each product keeps the
-    operand order in which numpy evaluates the plain update of (M21, M22)
-    written as two assignments (the 0-d branch below): the amplitudes are
-    the same to the last bit. ``phase(x)`` returns a new array exp(2i*q*x)
-    of q's shape, which is used as scratch. A 0-d q runs that plain update
-    on numpy scalars, which round differently from array loops, so scalar
-    amplitudes (among them the CLI's T and R at k) keep their values.
+    built from the right: row2(M) = (0, 1) N_last ... N_first.
     """
-    if q.ndim == 0:
-        m21, m22 = 0.0, 1.0
-        for alpha, x in reversed(scatterers):
-            g = 1j * ((mp.mu_red * alpha) / q)
-            e = phase(x)
-            m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
-        t = 1.0 / m22
-        return t, -m21 * t
-    g = n = m22 = None
-    prev_alpha = None
+    m21, m22 = 0.0, 1.0
     for alpha, x in reversed(scatterers):
-        if alpha != prev_alpha:  # the double delta's links share one g
-            g, prev_alpha = 1j * ((mp.mu_red * alpha) / q), alpha
-        e = phase(x)
-        if n is None:
-            n = np.multiply(g, np.conjugate(e, out=e), out=e)
-            m22 = 1.0 - g
-            continue
-        # kept as the plain product's expression: on large arrays numpy
-        # reuses the conj temporary and multiplies as conj(e) * m22, and
-        # complex products with fused multiply-adds are not commutative
-        a = m22 * np.conj(e)
-        a += n
-        s = np.multiply(n, e, out=e)
-        s += m22
-        m22 -= np.multiply(g, s, out=s)
-        n += np.multiply(g, a, out=a)
-    t = np.divide(1.0, m22, out=m22)
-    return t, np.multiply(n, t, out=n)
+        g = 1j * ((mp.mu_red * alpha) / q)
+        e = np.exp(2j * q * x)
+        m21, m22 = m21 + g * (m21 - m22 * np.conj(e)), m22 + g * (m21 * e - m22)
+    t = 1.0 / m22
+    return t, -m21 * t
 
 
 def double_delta_amplitudes(
@@ -249,27 +212,13 @@ class AmplitudeModel:
         """b = mu_red * alpha, the momentum scale of a point scatterer."""
         return self.masses.mu_red * self.alpha
 
-    def amplitudes(
-        self, q, phase: Optional[Callable[[float], np.ndarray]] = None
-    ) -> AmplitudePair:
-        """(t(q), r(q)) for incident relative momenta q > 0.
-
-        ``phase(x)``, if given, must return a new array exp(2i*q*x) of q's
-        shape, which the chain overwrites; a caller that can form these
-        scatterer phases more cheaply than a complex exp per point (a tensor
-        grid) passes it. Only chains use it.
-        """
+    def amplitudes(self, q) -> AmplitudePair:
+        """(t(q), r(q)) for incident relative momenta q > 0."""
         if self.kind is PotentialKind.HARD_CORE:
             return hardcore_amplitudes(q)
         if self.kind is PotentialKind.DIRAC_DELTA:
             return delta_amplitudes(q, self.alpha, self.masses)
-        arr = _as_positive_q(q)
-        if phase is None:
-
-            def phase(x: float) -> np.ndarray:
-                return np.exp(2j * arr * x)
-
-        t, r = _chain_amplitudes(arr, self.scatterers, self.masses, phase)
+        t, r = _chain_amplitudes(_as_positive_q(q), self.scatterers, self.masses)
         return _pair_like(q, t, r)
 
 

@@ -1,7 +1,7 @@
 """Purity of the one-particle reduced density matrix, by quadrature and a Gram matrix.
 
 A two-particle momentum wave function sampled on a tensor midpoint grid,
-with quadrature weights folded in as A[i, j] = sqrt(w1_i * w2_j) *
+with the rule's constant weight folded in as A[i, j] = sqrt(h1 h2) *
 phi(p1_i, p2_j), turns the purity integral into matrix algebra. With G the
 smaller of the Gram matrices A^H A and A A^H (Hermitian, the size of A's
 shorter side),
@@ -26,17 +26,24 @@ spectrum keeps length n. At full rank the factorization is the slower route:
 
 A is sampled in blocks of whole rows, about 2^15 nodes each, written into
 one preallocated array, so the wave function's temporaries stay in cache
-and the peak memory of sampling is little more than A itself. Wave
-functions must therefore be pointwise: each sample depends only on its own
-(p1, p2). The package's modes evaluate one formula for any input shape,
-so a block gets the bits it would get from one call on the whole grid
-once every block of a multi-block grid holds at least 2^15 nodes (see
-:func:`discretize`). Samples whose real or imaginary part lies below
-2^-511 in magnitude are stored as zeros, so that no product of two
-samples in the Gram matrix is subnormal: subnormal arithmetic takes a slow
-path in the CPU, and tilted reflected windows, whose corners lie hundreds
-of e-folds down the Gaussian tail, held enough such samples to double the
-time of a 512^2 Gram matrix.
+and the peak memory of sampling is little more than A itself. The
+scattering modes' amplitudes depend on the pair momenta only through the
+relative momentum q = mu2 p1 - mu1 p2, and on a commensurate grid, whose
+steps mu2 h1 and mu1 h2 are in a ratio a / b of small integers, q takes
+only a (n1 - 1) + b (n2 - 1) + 1 values, equispaced: a lattice. So each
+level evaluates the amplitudes once, on that lattice, and each block
+gathers them as a view (see :func:`discretize`); a 1024^2 level of the
+reference sweep takes 9,208 momenta on its transmitted branch and 23,530
+on its reflected one, where it took one per node, 1,048,576. Every other
+wave function is called on each block and must be pointwise: each sample
+depends only on its own (p1, p2). Either way a block gets the bits it
+would get as one block of the whole grid once every block of a
+multi-block grid holds at least 2^15 nodes. Samples whose real or
+imaginary part lies below 2^-511 in magnitude are stored as zeros, so that
+no product of two samples in the Gram matrix is subnormal: subnormal
+arithmetic takes a slow path in the CPU, and tilted reflected windows,
+whose corners lie hundreds of e-folds down the Gaussian tail, held enough
+such samples to double the time of a 512^2 Gram matrix.
 A real A, as the hard core's reflected branch samples, gets its Gram matrix
 and spectrum in real arithmetic.
 
@@ -45,9 +52,11 @@ Windows are decided here and nowhere else. A mode's lobe is centered on
 covariance diag(sigma1^2, sigma2^2) or its congruence R Sigma R^T under
 the reflection map R; its window spans a fixed +-8 sigma per axis, so
 that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
-tightest refinement tolerance, 1e-10. On such windows the midpoint rule
-converges geometrically (see :func:`axis_nodes`). :func:`mode_grid`
-covers one lobe and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
+tightest refinement tolerance, 1e-10. One of the two windows is then
+widened, by at most 1 %, to make the grid commensurate (see
+:func:`_commensurate`). On such windows the midpoint rule converges
+geometrically (see :func:`axis_nodes`). :func:`mode_grid` covers one lobe
+and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
 :func:`purity_pq_adaptive` builds its own grid in (total, relative)
 momenta and samples the state or out-mode there by calling it at the
 corresponding pair momenta. Grids refine by doubling both axes until
@@ -109,9 +118,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .kinematics import JacobiMomentum, PairMomentum, jacobi_to_pair, reflect_momenta
-from .wavefunction import _REVERSED_INCIDENT, GaussianInState, Mode, ModeWavefunction
+from .wavefunction import _NEEDS_MODEL, _REVERSED_INCIDENT, GaussianInState, Mode, ModeWavefunction
 from .amplitudes import AmplitudeModel
 
 __all__ = [
@@ -175,28 +185,31 @@ class GridSpec:
         return replace(self, n1=min(2 * self.n1, cap1), n2=min(2 * self.n2, cap2))
 
 
-def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, np.ndarray]:
+def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, float]:
     """Midpoint rule on the window: n cells of width h = 2 halfwidth / n, a node at each center.
 
-    x_i = center - halfwidth + h (i + 1/2) and w_i = h. The ladders' integrands
+    Returns the nodes x_i = center - halfwidth + h (i + 1/2) and their common
+    weight h, which n, a power of two, leaves exact. The ladders' integrands
     are analytic and have fallen to 1e-15 of their peak, with all their
     derivatives, at both window ends, so the rule converges geometrically,
     as the trapezoidal rule does on a periodic integrand (Trefethen &
     Weideman, SIAM Rev. 56, 385, 2014): the endpoint corrections of
     Euler-Maclaurin are no larger than the truncated tails. Gauss-Legendre,
     which clusters its nodes at the window ends, needed 4/3 to 2 times the
-    nodes per axis for the same purity.
+    nodes per axis for the same purity. Equispaced nodes also put the
+    relative momenta of a commensurate grid on a lattice (see
+    :func:`discretize`).
     """
     h = 2.0 * window.halfwidth / n
-    return window.center - window.halfwidth + h * (np.arange(n) + 0.5), np.full(n, h)
+    return window.center - window.halfwidth + h * (np.arange(n) + 0.5), h
 
 
 @dataclass(frozen=True)
 class WeightedAmplitudeMatrix:
     """Wave-function samples with quadrature weights folded in.
 
-    a[i, j] = sqrt(w1_i * w2_j) * phi(x1_i, x2_j), with x1, x2 the nodes and
-    w1, w2 the quadrature weights of the two axes, so that ||a||_F^2
+    a[i, j] = sqrt(h1 h2) * phi(x1_i, x2_j), with x1, x2 the nodes and h1,
+    h2 the midpoint rule's weights on the two axes, so that ||a||_F^2
     approximates the squared norm of phi on the window.
     """
 
@@ -237,22 +250,92 @@ _TINY = float(np.finfo(float).tiny)
 _FLUSH_BELOW = float(np.sqrt(_TINY))
 
 
+def _simplest_fraction(lo: float, hi: float) -> Optional[Tuple[int, int]]:
+    """The fraction c/d in [lo, hi] with the smallest c and d; None unless 0 < lo <= hi < inf.
+
+    Its continued fraction is the longest common prefix of those of lo and
+    hi, closed by the smallest integer that keeps it inside; the endpoints
+    are taken as exact ratios of integers, so the arithmetic is exact.
+    """
+    if not 0.0 < lo <= hi < math.inf:
+        return None
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0  # x = (p1 y + p0) / (q1 y + q0), y in [a/b, c/d]
+    while True:
+        f = a // b
+        if f * b == a or (f + 1) * d <= c:  # [lo, hi] holds an integer, f or f + 1
+            f += f * b != a
+            return p1 * f + p0, q1 * f + q0
+        p0, q0, p1, q1 = p1, q1, p1 * f + p0, q1 * f + q0
+        a, b, c, d = d, c - f * d, b, a - f * b  # y -> 1 / (y - f)
+
+
+# A commensurate grid's ratio of steps in q is recovered from the nodes'
+# spacing to this relative precision: its roundoff is a few ulp, and two
+# fractions with denominators below 10^5 lie further apart than 10^-10.
+_COMMENSURATE_RTOL = 1e-12
+
+
+def _q_lattice(
+    wavefn, x1: np.ndarray, h1: float, x2: np.ndarray, h2: float
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A scattering mode's (t, r) on the grid's nodes, as views of one 1-D lattice in q.
+
+    On a grid whose q steps along the axes, mu2 h1 and mu1 h2, are in the
+    ratio a / b of integers, node (i, j) has q = q_max - delta m with
+    m = a (n1 - 1 - i) + b j and delta = mu2 h1 / a. The amplitudes are
+    taken once, at the a (n1 - 1) + b (n2 - 1) + 1 lattice momenta in
+    descending q, from the first row's last node to the last row's first,
+    so that each row is a forward slice of stride b. None for any other
+    wave function, and where the lattice would hold more momenta than the
+    grid has nodes: a grid not built by :func:`mode_grid` or
+    :func:`joint_grid`, or one whose width ratio is so extreme that its
+    relative momenta are all distinct anyway.
+    """
+    if not (isinstance(wavefn, ModeWavefunction) and wavefn.mode in _NEEDS_MODEL):
+        return None
+    mp = wavefn.in_state.masses
+    x = mp.mu2 * h1 / (mp.mu1 * h2)
+    ab = _simplest_fraction(x * (1.0 - _COMMENSURATE_RTOL), x * (1.0 + _COMMENSURATE_RTOL))
+    if ab is None:
+        return None
+    a, b = ab
+    n1, n2 = len(x1), len(x2)
+    m = a * (n1 - 1) + b * (n2 - 1) + 1
+    if m > n1 * n2:
+        return None
+    q_max, q_min = mp.mu2 * x1[-1] - mp.mu1 * x2[0], mp.mu2 * x1[0] - mp.mu1 * x2[-1]
+    q = np.arange(m) * ((q_min - q_max) / (m - 1)) + q_max
+    q[-1] = q_min
+    t, r = wavefn.amplitudes_at(q)
+    return tuple(
+        as_strided(v[a * (n1 - 1):], (n1, n2), (-a * v.itemsize, b * v.itemsize), writeable=False)
+        for v in (t, r)
+    )
+
+
 def discretize(
     wavefn: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
 ) -> WeightedAmplitudeMatrix:
-    """Sample ``wavefn(P1, P2)`` on the grid's midpoint nodes and fold in their weights.
+    """Sample ``wavefn(P1, P2)`` on the grid's midpoint nodes and fold in their weight.
 
-    ``wavefn`` is called on blocks of whole rows, ``wavefn(x1[rows, None],
-    x2[None, :])``, and each weighted block is written into its slice of one
-    preallocated n1 x n2 array; so ``wavefn`` must be pointwise, each sample
-    depending only on its own (p1, p2). A block holds about 2^15 nodes, and
-    a grid that small is one block. Every block of a multi-block grid holds
-    at least 2^15 nodes, so its complex temporaries lie above numpy's
-    256 KiB temporary-elision threshold, as the whole grid's do; elision
-    reorders the operands of a complex product, which moves last bits. So
-    the samples are bitwise those of one call on the whole grid. Node
-    counts are powers of two, so a grid of more than one block splits into
-    equal blocks of max(1, 2^15 / n2) rows.
+    The samples are written in blocks of whole rows, about 2^15 nodes each,
+    into one preallocated n1 x n2 array; a grid that small is one block. A
+    scattering :class:`~scatter_entangle.wavefunction.ModeWavefunction` on
+    a grid from :func:`mode_grid` or :func:`joint_grid` takes its
+    amplitudes from one call on the grid's q-lattice (see
+    :func:`_q_lattice`), and each block gathers them as a view; within
+    1e-12 of the peak sample, these are the samples of ``wavefn`` itself.
+    Any other ``wavefn`` is called on each block, ``wavefn(x1[rows, None],
+    x2[None, :])``, so it must be pointwise, each sample depending only on
+    its own (p1, p2). Every block of a multi-block grid holds at least 2^15
+    nodes, so its complex temporaries lie above numpy's 256 KiB
+    temporary-elision threshold, as one block of the whole grid's would;
+    elision reorders the operands of a complex product, which moves last
+    bits. So the samples are bitwise those of one block on the whole grid.
+    Node counts are powers of two, so a grid of more than one block splits
+    into equal blocks of max(1, 2^15 / n2) rows. Every node carries the
+    same weight h1 h2, folded in as one scalar sqrt(h1 h2).
 
     Weighted samples whose real or imaginary part lies below 2^-511 in
     magnitude have that part set to zero (``_FLUSH_BELOW``), so that the
@@ -262,16 +345,22 @@ def discretize(
     grid's count and the first bad node; purity downstream would silently
     turn into NaN otherwise.
     """
-    x1, w1 = axis_nodes(grid.n1, grid.window1)
-    x2, w2 = axis_nodes(grid.n2, grid.window2)
-    sw1, sw2 = np.sqrt(w1)[:, None], np.sqrt(w2)[None, :]
+    x1, h1 = axis_nodes(grid.n1, grid.window1)
+    x2, h2 = axis_nodes(grid.n2, grid.window2)
+    lattice = _q_lattice(wavefn, x1, h1, x2, h2)
+    weight = math.sqrt(h1 * h2)
     a = np.empty((grid.n1, grid.n2), dtype=complex)
     rows = max(1, _BLOCK_NODES // grid.n2)
     n_bad, first_bad = 0, None
     for r0 in range(0, grid.n1, rows):
         blk = slice(r0, r0 + rows)
         out = a[blk]
-        vals = np.asarray(wavefn(x1[blk, None], x2[None, :]), dtype=complex)
+        p1, p2 = x1[blk, None], x2[None, :]
+        if lattice is None:
+            vals = wavefn(p1, p2)
+        else:
+            vals = wavefn.scattered(lattice[0][blk], lattice[1][blk], p1, p2)
+        vals = np.asarray(vals, dtype=complex)
         if vals.shape != out.shape:
             raise ValueError(
                 f"wave function returned shape {vals.shape}, expected {out.shape}"
@@ -282,7 +371,7 @@ def discretize(
             if first_bad is None:
                 i, j = np.argwhere(bad)[0]
                 first_bad = x1[r0 + i], x2[j]
-        np.multiply(sw1[blk] * sw2, vals, out=out)
+        np.multiply(vals, weight, out=out)
         parts = out.view(float)  # real and imaginary parts, interleaved
         parts *= np.abs(parts) >= _FLUSH_BELOW
     if n_bad:
@@ -686,29 +775,60 @@ def _lobe_windows(state: GaussianInState, reflected: bool) -> Tuple[AxisWindow, 
     return AxisWindow(k, float(hw[0])), AxisWindow(-k, float(hw[1]))
 
 
+# The most a window is widened by to make its grid commensurate (see
+# :func:`_commensurate`)
+_WIDEN = 1.01
+
+
+def _commensurate(masses, w1: AxisWindow, w2: AxisWindow) -> Tuple[AxisWindow, AxisWindow]:
+    """The windows with one widened by at most 1 %, so that mu2 hw1 / (mu1 hw2) = c / d.
+
+    c / d is the simplest fraction within 1 % of the windows' ratio, whose
+    lattice in q is the smallest on a square grid; the grids of every level
+    then have steps mu2 h1 : mu1 h2 = c n2 : d n1, in small integers, and
+    their relative momenta lie on a lattice (see :func:`_q_lattice`). The
+    window on the side the fraction lies is widened; neither gets narrower.
+    """
+    ratio = masses.mu2 * w1.halfwidth / (masses.mu1 * w2.halfwidth)
+    cd = _simplest_fraction(ratio / _WIDEN, ratio * _WIDEN)
+    if cd is None:  # a ratio beyond the doubles, which no lattice would serve
+        return w1, w2
+    s = cd[0] / cd[1]
+    if s >= ratio:
+        return AxisWindow(w1.center, max(w1.halfwidth, w1.halfwidth * (s / ratio))), w2
+    return w1, AxisWindow(w2.center, max(w2.halfwidth, w2.halfwidth * (ratio / s)))
+
+
 def mode_grid(state: GaussianInState, mode: Mode, n: NPair = _BASE_N) -> GridSpec:
     """Grid over one lobe's window; ``Mode.OUT`` has two and raises ValueError.
 
-    A grid over both lobes is :func:`joint_grid`.
+    The windows span the lobe's +-8 sigma box, one of them widened by at
+    most 1 % to make the grid commensurate (see :func:`_commensurate`). A
+    grid over both lobes is :func:`joint_grid`.
     """
     if mode is Mode.OUT:
         raise ValueError(
             "the out mode has a transmitted and a reflected lobe; cover both with joint_grid"
         )
     n1, n2 = _as_pair(n)
-    w1, w2 = _lobe_windows(state, mode in _REVERSED_INCIDENT)
+    w1, w2 = _commensurate(state.masses, *_lobe_windows(state, mode in _REVERSED_INCIDENT))
     return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
 
 
 def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
-    """Single grid whose windows cover both the in and reflected lobes."""
+    """Single grid whose windows cover both the in and reflected lobes.
+
+    The windows span both lobes' +-8 sigma boxes, one of them widened by at
+    most 1 % to make the grid commensurate (see :func:`_commensurate`).
+    """
     n1, n2 = _as_pair(n)
     windows = []
     for wi, wr in zip(_lobe_windows(state, False), _lobe_windows(state, True)):
         lo = min(wi.center - wi.halfwidth, wr.center - wr.halfwidth)
         hi = max(wi.center + wi.halfwidth, wr.center + wr.halfwidth)
         windows.append(AxisWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
-    return GridSpec(n1=n1, n2=n2, window1=windows[0], window2=windows[1])
+    w1, w2 = _commensurate(state.masses, *windows)
+    return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
 
 
 # numpy's Gauss-Legendre rules for the 1-D q integrals, whose integrands do

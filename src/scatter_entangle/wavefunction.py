@@ -29,9 +29,15 @@ samples differ from phi_in evaluated at (p1', p2') by at most 2 ulp
 windows). Calling the state itself keeps the form exp(g1 + g2); see
 :class:`GaussianInState`.
 
-A state or a mode is evaluated only by calling it, ``f(p1, p2)``. The
-geometry of a mode's lobes, and so its integration window, is decided in
-``purity.mode_grid`` and ``purity.joint_grid``.
+A state or a mode is defined by calling it, ``f(p1, p2)``. A scattering
+mode's amplitudes depend on the pair momenta only through q = mu2 p1 -
+mu1 p2, so the purity ladders sample it in two steps: its amplitudes from
+one call on the relative momenta a grid takes
+(:meth:`ModeWavefunction.amplitudes_at`), and the mode from those
+amplitudes and its Gaussians (:meth:`ModeWavefunction.scattered`), which
+is what a call does on the nodes' own q. The geometry of a mode's lobes,
+and so its integration window, is decided in ``purity.mode_grid`` and
+``purity.joint_grid``.
 """
 
 from __future__ import annotations
@@ -229,51 +235,36 @@ class ModeWavefunction:
         state = self.in_state
         if self.mode is Mode.IN:
             return state(p1, p2)
-        pm = PairMomentum(p1, p2)
         if self.mode is Mode.REFLECTED_IN:
-            return _eval_reflected_in(state, pm)
+            return _eval_reflected_in(state, PairMomentum(p1, p2))
+        mp = state.masses
+        t, r = self.amplitudes_at(mp.mu2 * p1 - mp.mu1 * p2)
+        return self.scattered(t, r, p1, p2)
 
-        t, r = eval_amplitudes(state, self.amplitudes, pm)
-        # from 256 KiB up numpy forms these products in the Gaussian's own buffer
-        # (temporary elision), as psi * t: complex products with fused
-        # multiply-adds do not commute, so an explicit out= would move last bits.
-        # The unused amplitude is dropped before the Gaussian is formed, which
-        # lowers the peak memory of a branch by one grid-sized array.
+    def amplitudes_at(self, q: ArrayLike) -> AmplitudePair:
+        """(t, r) at relative momenta q, evaluated at |q|, from one amplitude call.
+
+        |q| is floored at 1e-13 k, so that composite transfer matrices stay
+        finite at stray q == 0 nodes, where the state weight is a deep
+        Gaussian tail. A phase that overflows where a window reaches past
+        the central momentum's finite one gives non-finite amplitudes, which
+        ``purity.discretize`` counts and reports.
+        """
+        q_abs = np.maximum(np.abs(q), 1e-13 * self.in_state.k)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.amplitudes.amplitudes(q_abs)
+
+    def scattered(self, t: ArrayLike, r: ArrayLike, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
+        """This scattering mode at (p1, p2), given t and r at those nodes' |q|.
+
+        From 256 KiB up numpy forms the products in the Gaussian's own
+        buffer (temporary elision), as psi * t; complex products with fused
+        multiply-adds do not commute, so an explicit out= would move last
+        bits.
+        """
+        state, pm = self.in_state, PairMomentum(p1, p2)
         if self.mode is Mode.TRANSMITTED:
-            del r
             return t * _eval_in_factored(state, pm)
         if self.mode is Mode.REFLECTED:
-            del t
             return r * _eval_reflected_in(state, pm)
         return t * _eval_in_factored(state, pm) + r * _eval_reflected_in(state, pm)
-
-
-def eval_amplitudes(
-    state: GaussianInState, model: AmplitudeModel, pm: PairMomentum
-) -> AmplitudePair:
-    """(t, r) at the relative momenta q of the pair momenta, evaluated at |q|.
-
-    Every scatterer phase exp(2i|q|x) is the product of the 1-D
-    exponentials exp(2i*mu2*x*p1) and exp(-2i*mu1*x*p2), since
-    q = mu2*p1 - mu1*p2, conjugated where q < 0; on a tensor grid that is
-    an outer product of two 1-D arrays.
-    """
-    mp = state.masses
-    p1, p2 = pm
-    q = mp.mu2 * p1 - mp.mu1 * p2
-    # floor |q| so composite transfer matrices stay finite at stray q == 0
-    # nodes; the state weight there is a deep Gaussian tail
-    q_abs = np.maximum(np.abs(q), 1e-13 * state.k)
-    neg = q < 0.0
-
-    def phase(x: float) -> np.ndarray:
-        # an array even for 0-d momenta, so that it can be conjugated in place
-        e = np.asarray(np.exp(2j * mp.mu2 * x * p1) * np.exp(-2j * mp.mu1 * x * p2))
-        return np.conjugate(e, out=e, where=neg)
-
-    # a phase that overflows where the window reaches past the central
-    # momentum's finite one gives non-finite samples, which discretize counts
-    # and reports
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return model.amplitudes(q_abs, phase)
-

@@ -14,8 +14,8 @@ from scatter_entangle.amplitudes import (
     hardcore_amplitudes,
     unitarity_residual,
 )
-from scatter_entangle.kinematics import MassPartition, PairMomentum
-from scatter_entangle.wavefunction import GaussianInState, eval_amplitudes
+from scatter_entangle.kinematics import MassPartition
+from scatter_entangle.wavefunction import GaussianInState, Mode, ModeWavefunction
 
 MP = MassPartition(0.2)  # mu_red = 0.16
 
@@ -312,17 +312,27 @@ CHAINS = {
 }
 
 
+def _matrix_chain(q, scatterers, mp):
+    """(t, r) from the full 2x2 transfer matrices, multiplied out at each q."""
+    m = np.broadcast_to(np.eye(2, dtype=complex), q.shape + (2, 2))
+    for alpha, x in scatterers:
+        g = 1j * mp.mu_red * alpha / q
+        e = np.exp(2j * q * x)
+        n = np.stack([np.stack([1 + g, g * e], -1), np.stack([-g * np.conj(e), 1 - g], -1)], -2)
+        m = n @ m  # the rightmost scatterer acts last
+    return 1.0 / m[..., 1, 1], -m[..., 1, 0] / m[..., 1, 1]
+
+
 @pytest.mark.parametrize("name", CHAINS)
-def test_in_place_chain_matches_the_plain_product_bitwise(name):
+def test_chain_matches_the_full_transfer_matrix_product(name):
     model = CHAINS[name]
-    # numpy evaluates the plain form's m22 * conj(e) as conj(e) * m22 from
-    # 256 KiB up (it reuses the temporary), so sizes on both sides are checked
-    rng = np.random.default_rng(7)
-    for qs in (rng.uniform(1e-4, 5.0, 10**4), rng.uniform(1e-4, 5.0, (256, 128))):
-        t, r = model.amplitudes(qs)
-        t_ref, r_ref = _plain_chain(qs, model.scatterers, MP)
-        np.testing.assert_array_equal(t, t_ref)
-        np.testing.assert_array_equal(r, r_ref)
+    q = np.random.default_rng(7).uniform(1e-4, 5.0, 10**4)
+    t, r = model.amplitudes(q)
+    t_ref, r_ref = _matrix_chain(q, model.scatterers, MP)
+    # toward q = 1e-4 the links' g = i b / q grows to 1e4, and the second row
+    # and the full product round apart by up to 1.4e-12
+    np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("name", CHAINS)
@@ -339,9 +349,10 @@ def test_chain_keeps_the_type_and_shape_of_q(name):
         t, r = model.amplitudes(q)
         assert t.shape == r.shape == q.shape
         assert t.dtype == r.dtype == complex
-    # a tensor grid reaches the chain with its separable phases
-    state = GaussianInState(k=1.0, sigma1=0.2, sigma2=0.1, masses=MP)
-    pm = PairMomentum(np.linspace(0.5, 1.5, 5)[:, None], np.linspace(-1.5, -0.5, 3)[None, :])
-    t, r = eval_amplitudes(state, model, pm)
+    # a mode takes them at the relative momenta of a tensor grid, at |q|
+    mode = ModeWavefunction(Mode.TRANSMITTED, GaussianInState(1.0, 0.2, 0.1, MP), model)
+    q = 0.8 * np.linspace(0.5, 1.5, 5)[:, None] - 0.2 * np.linspace(-1.5, 1.5, 3)[None, :]
+    t, r = mode.amplitudes_at(q)
     assert t.shape == r.shape == (5, 3)
     assert t.dtype == r.dtype == complex
+    assert np.array_equal(t, model.amplitudes(np.abs(q)).t)

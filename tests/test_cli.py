@@ -737,9 +737,9 @@ def test_quadrature_failures_leak_no_warning_from_the_engine(tmp_path, command):
 def test_a_non_finite_overlap_integrand_fails_loudly(tmp_path, capsys, monkeypatch):
     real = AmplitudeModel.amplitudes
 
-    def nan_on_the_overlap_nodes(self, q, phase=None):
-        t, r = real(self, q, phase)
-        if np.ndim(q) == 1:  # the overlap's q nodes; ladders pass 2-D blocks, the CLI scalars
+    def nan_on_the_overlap_nodes(self, q):
+        t, r = real(self, q)
+        if np.size(q) == 1024:  # the overlap's q nodes; no ladder's q-lattice holds 1024
             t = np.full_like(t, np.nan)
         return AmplitudePair(t, r)
 
@@ -831,8 +831,8 @@ def test_a_width_ratio_whose_square_underflows_runs(tmp_path):
     assert payload["approximations"]["reflected_purity"] == 1.0
     assert payload["report"]["purity"] == pytest.approx(1.0, abs=1e-6)
     # the narrow axis' nodes collapse onto -k, below ulp(k), so the grid does
-    # not resolve the normalized out-state: its squared norm reads 6.38
-    assert payload["report"]["norm_sq"] == pytest.approx(6.38, abs=0.01)
+    # not resolve the normalized out-state: its squared norm reads 6.45
+    assert payload["report"]["norm_sq"] == pytest.approx(6.45, abs=0.01)
     assert not payload["report"]["converged"]
 
 

@@ -23,9 +23,8 @@ def test_the_package_exports_each_modules_public_names():
 
 def test_helpers_outside_the_surface_stay_importable_from_their_modules():
     from scatter_entangle.purity import axis_nodes, check_ladder
-    from scatter_entangle.wavefunction import eval_amplitudes
 
-    for helper in (axis_nodes, check_ladder, eval_amplitudes):
+    for helper in (axis_nodes, check_ladder):
         assert helper.__name__ not in scatter_entangle.__all__
 
 

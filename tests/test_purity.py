@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from scatter_entangle.wavefunction import (
     IncomingnessWarning,
     Mode,
     ModeWavefunction,
-    eval_amplitudes,
 )
 
 
@@ -151,16 +151,14 @@ def test_non_finite_samples_abort_with_location():
     )
 
 
-def one_call_samples(wavefn, grid, flush=True):
-    """The whole grid sampled in one call, weighted and flushed, the reference for blocking."""
-    x1, w1 = axis_nodes(grid.n1, grid.window1)
-    x2, w2 = axis_nodes(grid.n2, grid.window2)
-    vals = np.asarray(wavefn(x1[:, None], x2[None, :]), dtype=complex)
-    a = np.multiply(np.sqrt(w1)[:, None] * np.sqrt(w2)[None, :], vals, out=vals)
-    if flush:
-        parts = a.view(float)
-        parts *= np.abs(parts) >= 2.0**-511
-    return a
+def one_block_samples(wavefn, grid, flush=True):
+    """The whole grid sampled as one block, weighted, and flushed unless ``flush`` is
+    false: the reference for blocking."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(purity_module, "_BLOCK_NODES", grid.n1 * grid.n2)
+        if not flush:
+            mp.setattr(purity_module, "_FLUSH_BELOW", 0.0)
+        return discretize(wavefn, grid).a
 
 
 BLOCK_MASSES = MassPartition(0.2)
@@ -186,7 +184,7 @@ BLOCK_CASES = [
 
 
 def _assert_blocking_keeps_the_bits(wavefn, grid):
-    ref = one_call_samples(wavefn, grid)
+    ref = one_block_samples(wavefn, grid)
     a = discretize(wavefn, grid).a
     assert a.shape == ref.shape
     assert np.array_equal(a.view(np.uint64), ref.view(np.uint64))
@@ -196,13 +194,13 @@ def _assert_blocking_keeps_the_bits(wavefn, grid):
 @pytest.mark.parametrize(
     "kind, shape", BLOCK_CASES, ids=[f"{k}-{n1}x{n2}" for k, (n1, n2) in BLOCK_CASES]
 )
-def test_blocked_sampling_equals_one_call_bitwise(kind, shape, mode):
+def test_blocked_sampling_equals_one_block_bitwise(kind, shape, mode):
     fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_MODELS[kind])
     _assert_blocking_keeps_the_bits(fn, mode_grid(BLOCK_STATE, mode, shape))
 
 
 @pytest.mark.parametrize("shape", [(1024, 1024), (128, 64)], ids="{0[0]}x{0[1]}".format)
-def test_blocked_sampling_equals_one_call_bitwise_in_jacobi_coordinates(shape, monkeypatch):
+def test_blocked_sampling_equals_one_block_bitwise_in_jacobi_coordinates(shape, monkeypatch):
     # the wave function of purity_pq_adaptive, called on full (P, Q) arrays;
     # the ladder is stubbed out to capture what it would sample
     ladder_args = []
@@ -211,6 +209,83 @@ def test_blocked_sampling_equals_one_call_bitwise_in_jacobi_coordinates(shape, m
     [(fn, grid, *_)] = ladder_args
     assert (grid.n1, grid.n2) == shape
     _assert_blocking_keeps_the_bits(fn, grid)
+
+
+def _record_amplitude_calls(monkeypatch):
+    """The shape of q at each amplitude call, in call order."""
+    shapes = []
+    real = AmplitudeModel.amplitudes
+
+    def recording(self, q):
+        shapes.append(np.shape(q))
+        return real(self, q)
+
+    monkeypatch.setattr(AmplitudeModel, "amplitudes", recording)
+    return shapes
+
+
+def _lattice_size(state, grid):
+    """a (n1 - 1) + b (n2 - 1) + 1, for steps mu2 h1 : mu1 h2 = a : b in lowest terms."""
+    mp = state.masses
+    _, h1 = axis_nodes(grid.n1, grid.window1)
+    _, h2 = axis_nodes(grid.n2, grid.window2)
+    ratio = Fraction(mp.mu2 * h1 / (mp.mu1 * h2)).limit_denominator(10**4)
+    assert abs(float(ratio) * mp.mu1 * h2 - mp.mu2 * h1) <= 1e-14 * mp.mu2 * h1
+    return ratio.numerator * (grid.n1 - 1) + ratio.denominator * (grid.n2 - 1) + 1
+
+
+LATTICE_SHAPES = [(64, 64), (128, 64), (1024, 256)]
+
+
+@pytest.mark.parametrize("shape", LATTICE_SHAPES, ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize(
+    "mode", [Mode.TRANSMITTED, Mode.REFLECTED, Mode.OUT], ids=lambda m: m.value
+)
+@pytest.mark.parametrize("kind", BLOCK_MODELS)
+def test_lattice_samples_match_the_pointwise_mode(kind, mode, shape, monkeypatch):
+    # criterion 10's w5 + 0.018 point; the out mode on its joint grid
+    fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_MODELS[kind])
+    grid = joint_grid(BLOCK_STATE, shape) if mode is Mode.OUT else mode_grid(BLOCK_STATE, mode, shape)
+    calls = _record_amplitude_calls(monkeypatch)
+    a = discretize(fn, grid).a
+    assert calls == [(_lattice_size(BLOCK_STATE, grid),)]
+    x1, h1 = axis_nodes(grid.n1, grid.window1)
+    x2, h2 = axis_nodes(grid.n2, grid.window2)
+    ref = math.sqrt(h1 * h2) * fn(x1[:, None], x2[None, :])
+    assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_each_ladder_level_calls_the_amplitudes_once_on_its_lattice(monkeypatch):
+    grids = _count_discretize(monkeypatch)
+    calls = _record_amplitude_calls(monkeypatch)
+    kw = dict(rel_tol=1e-5, base_n=(128, 64), n_cap=(1024, 512), spectrum=False)
+    rep = purity_out(BLOCK_STATE, BLOCK_DD, **kw)
+    assert len(grids) == len(rep.refinements) > 4
+    # one call per level, then the overlap's 1,024 and the tails' 64 q nodes
+    assert calls == [(_lattice_size(BLOCK_STATE, g),) for g in grids] + [(1024,), (64,)]
+
+
+@pytest.mark.parametrize("case", ["hand-built", "narrow"])
+def test_a_grid_without_a_small_lattice_is_sampled_pointwise(case, monkeypatch):
+    # a hand-built grid whose steps have no small ratio, and a mode grid whose
+    # p2 window is 1e4 times narrower than its p1 window, so that its lattice
+    # would hold more momenta than its nodes: the mode is called on each block
+    if case == "hand-built":
+        state = BLOCK_STATE
+        grid = GridSpec(64, 64, AxisWindow(_K, 1.6), AxisWindow(-_K, math.pi / 10))
+    else:
+        state = replace(BLOCK_STATE, sigma2=BLOCK_STATE.sigma1 * 1e-4)
+        grid = mode_grid(state, Mode.TRANSMITTED, 64)
+    fn = ModeWavefunction(Mode.TRANSMITTED, state, BLOCK_DD)
+    calls = _record_amplitude_calls(monkeypatch)
+    a = discretize(fn, grid).a
+    assert calls == [(64, 64)]
+    x1, h1 = axis_nodes(grid.n1, grid.window1)
+    x2, h2 = axis_nodes(grid.n2, grid.window2)
+    ref = math.sqrt(h1 * h2) * fn(x1[:, None], x2[None, :])
+    parts = ref.view(float)
+    parts *= np.abs(parts) >= 2.0**-511
+    assert np.array_equal(a, ref)
 
 
 # The deepest hard-core corner of the light CLI calls: its reflected window
@@ -222,7 +297,7 @@ TILTED_HC = ModeWavefunction(Mode.REFLECTED, TILTED, AmplitudeModel.hard_core(TI
 
 def test_parts_below_2_to_the_minus_511_are_stored_as_zeros():
     grid = mode_grid(TILTED, Mode.REFLECTED, 512)
-    raw = one_call_samples(TILTED_HC, grid, flush=False)
+    raw = one_block_samples(TILTED_HC, grid, flush=False)
     wam = discretize(TILTED_HC, grid)
     a, r = wam.a.view(float), raw.view(float)
     tiny = np.abs(r) < 2.0**-511
@@ -646,27 +721,28 @@ def test_reference_rows_converge_within_rel_tol_of_the_fine_total(row):
 
 
 def test_hard_core_out_ladder_is_unchanged_bitwise():
-    # the tilted light_points corner on midpoint grids: one live branch, so
+    # the tilted light_points corner on midpoint grids, its reflected window
+    # widened by 0.19 % to the commensurate 1/4: one live branch, so
     # w = 1 and the total's estimate is the reflected ladder's own, here the
     # tail of its geometric series, which stops the ladder at 256^2
     rep = purity_out(TILTED, AmplitudeModel.hard_core(TILTED.masses), rel_tol=1e-6)
     assert rep.tra_report is None
     assert rep.refinements == (
-        (64, 64, 0.11052870859728324),
-        (128, 128, 0.1153244220022673),
-        (256, 256, 0.11532444400535234),
+        (64, 64, 0.11050571505231999),
+        (128, 128, 0.11532442139870909),
+        (256, 256, 0.11532444400535233),
     )
-    assert rep.purity == 0.11532444400535234
-    assert rep.refinement_error == 1.9079289944276025e-07
+    assert rep.purity == 0.11532444400535233
+    assert rep.refinement_error == 1.960264663135448e-07
     assert rep.refinement_error == rep.ref_report.refinement_error
     assert rep.converged
-    assert rep.norm_sq == 0.999999999999998
+    assert rep.norm_sq == 0.9999999999999982
     want = reflected_gaussian_purity(TILTED.masses, TILTED.sigma1, TILTED.sigma2)
     assert rep.purity == pytest.approx(want, rel=1e-14, abs=0.0)
     # the tail of g past q = 0 over the branch's norm, from the 1-D rule; the
     # rule's endpoint weights (numpy's leggauss, 1.3e-12 relative at the
     # first node of 64) leave it 1.7e-14 from the closed form
-    assert rep.oob_weight == rep.ref_report.oob_weight == 0.0001065035420822809
+    assert rep.oob_weight == rep.ref_report.oob_weight == 0.00010650354208228087
     tail = 0.5 * math.erfc(TILTED.k / (math.sqrt(2.0) * TILTED.sigma_q))
     assert rep.oob_weight == pytest.approx(tail / rep.norm_sq, rel=2e-14, abs=0.0)
 
@@ -787,7 +863,7 @@ def test_vanished_branch_skips_the_overlap_sampling(monkeypatch):
 
 
 def test_both_branches_vanishing_is_an_error(monkeypatch):
-    def zero(self, q, phase=None):
+    def zero(self, q):
         z = np.zeros(np.shape(q), dtype=complex)
         return AmplitudePair(z, z.copy())
 
@@ -824,7 +900,8 @@ def joint_grid_overlap(state, model, n):
     x1, w1 = gauss_legendre_nodes(jg.n1, jg.window1)
     x2, w2 = gauss_legendre_nodes(jg.n2, jg.window2)
     pm = PairMomentum(x1[:, None], x2[None, :])
-    amp = eval_amplitudes(state, model, pm)
+    mp = state.masses
+    amp = ModeWavefunction(Mode.OUT, state, model).amplitudes_at(mp.mu2 * pm.p1 - mp.mu1 * pm.p2)
     tv = amp.t * state(*pm)
     rv = amp.r * state(*reflect_momenta(pm, state.masses))
     return abs(np.sum(w1[:, None] * w2[None, :] * np.conj(tv) * rv))
@@ -976,9 +1053,9 @@ def test_numeric_scale_invariance():
 def test_a_non_finite_tail_integrand_fails_loudly(monkeypatch):
     real = AmplitudeModel.amplitudes
 
-    def nan_on_the_tail_nodes(self, q, phase=None):
-        t, r = real(self, q, phase)
-        if np.ndim(q) == 1:  # the tails' nodes; ladders pass 2-D blocks
+    def nan_on_the_tail_nodes(self, q):
+        t, r = real(self, q)
+        if np.size(q) == 64:  # the tails' nodes; no ladder's q-lattice holds 64
             r = np.full_like(r, np.nan)
         return AmplitudePair(t, r)
 
