@@ -23,7 +23,9 @@ scatterer lists. Conventions:
   scatterers' transfer matrices, which keeps |t|^2 + |r|^2 = 1 exact. The
   shortcut "r = t - 1" holds only for a single scatterer at the origin and
   is not used for chains. Double-delta resonant transmission happens at the
-  roots of tan(2*a*q) = -q/b.
+  roots of tan(2*a*q) = -q/b. :func:`find_resonances` finds perfect
+  transmission of any chain from :meth:`AmplitudeModel.amplitudes` alone,
+  with no formula of its own.
 * Attractive and repulsive deltas scatter identically in modulus and the
   adopted phase convention, so strengths are stored as |alpha|.
 """
@@ -225,40 +227,46 @@ class AmplitudeModel:
 def find_resonances(
     model: AmplitudeModel, q_range: Tuple[float, float], count: int = 8
 ) -> np.ndarray:
-    """Momenta of perfect transmission for a double delta, ascending.
+    """Momenta of perfect transmission inside ``q_range``, ascending.
 
-    Roots of tan(2*a*q) = -q/b inside ``q_range``, located by a sign-change
-    scan of h(q) = sin(2*a*q) + (q/b)*cos(2*a*q) and polished with brentq.
-    Each returned root satisfies | |t(q)|^2 - 1 | <= 1e-10. At most ``count``
-    roots are returned.
+    For a chain symmetric about the origin r/t = -M21 is purely imaginary,
+    so f(q) = Im(r conj(t)) = |t|^2 Im(r/t) changes sign exactly where
+    |t| = 1; for the double delta f = 2 (b/q)^2 |t|^2 h(q) with
+    h = sin(2aq) + (q/b) cos(2aq), whose roots solve tan(2aq) = -q/b. The
+    sign changes of f are bracketed on a scan with at least 16 samples per
+    period pi/L of the chain's span L, every bracket is bisected at once
+    until it is two adjacent doubles, and the endpoint with the smaller |f|
+    is the root. A root is kept only if | |t(q)|^2 - 1 | <= 1e-10, which
+    rejects an asymmetric chain's crossings. The hard core (t = 0) and the
+    single delta (f > 0) give an empty array. At most ``count`` roots are
+    returned.
     """
-    if model.kind is not PotentialKind.DOUBLE_DIRAC_DELTA:
-        raise ValueError("resonance search applies to the double delta only")
     lo, hi = q_range
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    # lazy: only this needs scipy.optimize, most of the package's import time
-    from scipy.optimize import brentq
 
-    a = model.scatterers[1][1]  # the double delta's layout is (-a, +a)
-    b = model.strength_scale
+    def f(q):
+        t, r = model.amplitudes(q)
+        return (r * np.conj(t)).imag
 
-    def h(q):
-        return np.sin(2.0 * a * q) + (q / b) * np.cos(2.0 * a * q)
-
-    # at least ~16 samples per oscillation period pi/(2a)
-    n_scan = max(1024, int(np.ceil((hi - lo) * (2.0 * a / np.pi) * 16)) + 1)
+    span = model.scatterers[-1][1] - model.scatterers[0][1] if model.scatterers else 0.0
+    n_scan = max(1024, int(np.ceil((hi - lo) * (span / np.pi) * 16)) + 1)
     qs = np.linspace(lo, hi, n_scan)
-    hs = h(qs)
-
-    roots = []
-    for i in np.nonzero(np.sign(hs[:-1]) * np.sign(hs[1:]) < 0)[0]:
-        root = brentq(h, qs[i], qs[i + 1], xtol=1e-15 * hi, rtol=4 * np.finfo(float).eps)
-        t, _ = model.amplitudes(root)
-        if abs(abs(t) ** 2 - 1.0) <= 1e-10:
-            roots.append(root)
-        if len(roots) >= count:
+    fs = f(qs)
+    i = np.nonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[0]
+    ql, qr, fl, fr = qs[i], qs[i + 1], fs[i], fs[i + 1]
+    while True:
+        qm = 0.5 * (ql + qr)
+        open_ = (ql < qm) & (qm < qr)
+        if not open_.any():
             break
-    return np.asarray(roots, dtype=float)
+        fm = f(qm)
+        raise_lo = open_ & (np.sign(fm) == np.sign(fl))
+        lower_hi = open_ & ~raise_lo
+        ql, fl = np.where(raise_lo, qm, ql), np.where(raise_lo, fm, fl)
+        qr, fr = np.where(lower_hi, qm, qr), np.where(lower_hi, fm, fr)
+    roots = np.where(np.abs(fr) < np.abs(fl), qr, ql)
+    t, _ = model.amplitudes(roots)
+    return roots[np.abs(np.abs(t) ** 2 - 1.0) <= 1e-10][:count]

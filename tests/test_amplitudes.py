@@ -286,13 +286,48 @@ class TestResonances:
         inside = find_resonances(self.model, (lo, hi), count=10)
         assert np.all((inside > lo) & (inside < hi))
 
+    def test_first_criterion_10_root_is_pinned_to_the_bit(self):
+        # criterion 10, tests/tolerance_audit.py and the bench's q_star read it
+        roots = find_resonances(self.model, (0.01, 1.0), count=1)
+        assert roots[0] == 0.14965214613535138
+
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            find_resonances(AmplitudeModel.hard_core(self.mp), (0.1, 1.0))
         with pytest.raises(ValueError):
             find_resonances(self.model, (1.0, 0.5))
         with pytest.raises(ValueError):
             find_resonances(self.model, (0.1, 1.0), count=0)
+
+
+ASYMMETRIC_PAIR = AmplitudeModel.composite([(1.0, -2.0), (3.0, 2.0)], MP)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [AmplitudeModel.hard_core(MP), AmplitudeModel.dirac_delta(2.0, MP), ASYMMETRIC_PAIR],
+    ids=["hard_core", "delta", "asymmetric_pair"],
+)
+def test_chains_that_never_transmit_perfectly_have_no_resonances(model):
+    roots = find_resonances(model, (0.05, 3.0), count=20)
+    assert roots.shape == (0,)
+    assert roots.dtype == float
+
+
+def test_the_transmission_filter_rejects_an_asymmetric_chains_crossings():
+    # Im(r conj t) of unequal deltas changes sign, but |t|^2 stays below 0.99
+    q = np.linspace(0.05, 3.0, 4000)
+    t, r = ASYMMETRIC_PAIR.amplitudes(q)
+    f = (r * np.conj(t)).imag
+    assert np.any(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
+    assert np.max(np.abs(t) ** 2) < 0.99
+
+
+def test_a_symmetric_three_scatterer_chain_transmits_perfectly_at_its_roots():
+    model = AmplitudeModel.composite([(2.0, -3.0), (1.5, 0.0), (2.0, 3.0)], MP)
+    roots = find_resonances(model, (0.05, 3.0), count=20)
+    assert len(roots) == 6
+    assert np.all(np.diff(roots) > 0)
+    assert np.all((roots > 0.05) & (roots < 3.0))
+    assert np.max(np.abs(model.amplitudes(roots).r) ** 2) < 1e-10
 
 
 def _plain_chain(q, scatterers, mp):

@@ -28,44 +28,37 @@ def test_helpers_outside_the_surface_stay_importable_from_their_modules():
         assert helper.__name__ not in scatter_entangle.__all__
 
 
-def test_importing_the_package_and_its_cli_leaves_scipy_linalg_unloaded():
-    # only find_resonances needs scipy, and it imports it on first use
-    src = str(Path(scatter_entangle.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, scatter_entangle.cli; print('scipy.linalg' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-def test_one_shot_purity_and_sweep_import_no_scipy(tmp_path):
-    # every rule the engine samples comes from numpy; importing scipy would
-    # cost a one-shot CLI call more time than its ladders take
+def test_no_command_imports_scipy(tmp_path):
+    # every rule the engine samples and every root it finds comes from numpy;
+    # importing scipy would cost a one-shot CLI call more time than its work
     delta = {"masses": {"mu1": 0.2}, "potential": {"kind": "delta", "alpha": 6.25}}
+    double = {
+        "masses": {"mu1": 0.2},
+        "potential": {"kind": "double_delta", "alpha": 6.25, "half_separation": 10.0},
+    }
     widths = {"sigma1_over_k": 0.2, "sigma2_over_k": 0.1}
     configs = {
+        "amplitudes": dict(double, q_grid={"start": 0.05, "stop": 3.0, "num": 20, "unit": "b"}),
         "purity": dict(delta, state={"k_over_b": 1.0, **widths}),
         "sweep": dict(
             delta, state=widths, k_axis={"start": 0.5, "stop": 1.5, "num": 2, "unit": "b"}
         ),
+        "reflectmap": {"mu1_axis": {"values": [0.2, 0.5]}, "c_axis": {"values": [0.5, 2.0]}},
     }
     argvs = []
     for command, cfg in configs.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(cfg))
         out = str(tmp_path / f"{command}.out")
-        argvs.append([command, "--config", str(path), "--out", out, "--strict"])
-    argvs[1] += ["--workers", "1"]
+        argvs.append([command, "--config", str(path), "--out", out])
+    argvs[1].append("--strict")
+    argvs[2] += ["--strict", "--workers", "1"]
+    argvs.append(["validate"])  # prints its table to stdout, which is captured
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from scatter_entangle import cli\n"
-        f"codes = [cli.run(argv) for argv in {argvs!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.run(argv) for argv in {argvs!r}]\n"
         "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     src = str(Path(scatter_entangle.__file__).resolve().parents[1])
@@ -78,4 +71,4 @@ def test_one_shot_purity_and_sweep_import_no_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] []\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0] []\n"

@@ -579,7 +579,7 @@ def test_mode_split_is_additive_and_orthogonal():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the branch split drops the one-particle cross terms (ROADMAP item 2)",
+    reason="the branch split drops the one-particle cross terms (fix: ROADMAP item 3)",
 )
 def test_mode_split_matches_the_joint_grid_where_the_packets_overlap():
     # sigma1 = 0.3 k: the reflected packet's p2 range reaches the transmitted
