@@ -9,18 +9,27 @@ shorter side),
     purity = Tr(G^2) / Tr(G)^2 = ||G||_F^2 / Tr(G)^2,
 
 and the eigenvalues of G over Tr(G) are the Schmidt weights lambda, with
-purity = sum(lambda^2). Refinement levels need only the purity. The
-spectrum is computed once, from the last level's G, and only when the
-caller asks for it (``spectrum=True``, the default); the CLI sweep prints no
-spectrum and does not ask for it. It comes from a diagonally pivoted
-Cholesky factorization G = L L^H + S, stopped once Tr S <= 4 eps Tr G, and
-one eigensolve of the r x r matrix L^H L, where r is G's numerical rank
-(on the criterion-10 branches, 244 to 259 for the four final G that are
-1024 wide, where the factorization takes about 30 ms against 0.31 s for a
-dense ``eigvalsh``, and 3 to 142 for the other 44, 128 to 512 wide). Each
-weight is then low by at most Tr S / Tr G <= 4 eps, below the roundoff of
-a dense eigensolve; the weights past r are reported as zeros, so the
-spectrum keeps length n. At full rank the factorization is the slower route:
+purity = sum(lambda^2). G is formed a block row of 128 columns at a
+time, on and above its diagonal, and mirrored below it as the exact
+conjugate transpose: numpy has no Hermitian product for complex operands,
+so one ``a.conj().T @ a`` costs a conjugated copy of A and up to twice
+the flops, for bitwise the same G. A wide A gets conj(A A^H) by the same loop
+on A^T, with the same purity and spectrum (see
+:meth:`WeightedAmplitudeMatrix.gram`).
+
+Refinement levels need only the purity. The spectrum is computed once,
+from the last level's G, and only when the caller asks for it
+(``spectrum=True``, the default); the CLI sweep prints no spectrum and
+does not ask for it. It comes from a diagonally pivoted Cholesky
+factorization G = L L^H + S, stopped once Tr S <= 4 eps Tr G, and one
+eigensolve of the r x r matrix L^H L, where r is G's numerical rank (on
+the 48 criterion-10 branches, 3 to 60 for the 24 final G that are 128
+wide, 65 to 111 for the 14 that are 256 wide and 134 to 222 for the 10
+that are 512 wide, where the factorization takes 8-12 ms against about
+30 ms for a dense ``eigvalsh``; none there is 1024 wide). Each weight is
+then low by at most Tr S / Tr G <= 4 eps, below the roundoff of a dense
+eigensolve; the weights past r are reported as zeros, so the spectrum
+keeps length n. At full rank the factorization is the slower route:
 0.65-0.76 s against 0.25-0.33 s for a dense ``eigvalsh`` at n = 1024
 (2-core x86-64, OpenBLAS).
 
@@ -204,6 +213,10 @@ def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, float]:
     return window.center - window.halfwidth + h * (np.arange(n) + 0.5), h
 
 
+# Columns per block row of a complex Gram matrix (see WeightedAmplitudeMatrix.gram)
+_GRAM_BLOCK = 128
+
+
 @dataclass(frozen=True)
 class WeightedAmplitudeMatrix:
     """Wave-function samples with quadrature weights folded in.
@@ -217,16 +230,39 @@ class WeightedAmplitudeMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The smaller Gram matrix, A^H A or A A^H; formed once per matrix.
+        """The smaller Gram matrix, A^H A or A A^H up to conjugation; formed once.
 
         Real if A is: real samples (a real amplitude times a real Gaussian)
-        need a quarter of the flops of a complex product.
+        need a quarter of the flops of a complex product. numpy has no
+        Hermitian path for ``x.conj().T @ x``, so G = A^H A is formed a
+        block row of ``_GRAM_BLOCK`` columns at a time, on and above the
+        diagonal only: each panel of A's columns is conjugated into one
+        reused buffer and multiplied into its block row, and the block
+        column below the diagonal block is filled with that row's exact
+        conjugate transpose. This skips up to half the flops and A's full
+        conjugated copy, and every element keeps the bits of the one
+        product ``a.conj().T @ a``. A wide A (fewer rows than columns)
+        goes through the same loop as A^T, which gives conj(A A^H): the
+        same purity and, since conjugation commutes with every rounding, a
+        bitwise-equal spectrum.
         """
         a = self.a
         if not a.imag.any():
             a = a.real.copy()
-            return a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-        return a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+        if a.shape[0] < a.shape[1]:
+            a = a.T
+        n = a.shape[1]
+        # the buffer before G, in the order of a conjugated copy and its
+        # product: allocated the other way round, the heap layout left the
+        # benchmark's median points 3-4x more page faults
+        buf = np.empty((a.shape[0], min(n, _GRAM_BLOCK)), dtype=a.dtype)
+        g = np.empty((n, n), dtype=a.dtype)
+        for s in range(0, n, _GRAM_BLOCK):
+            e = min(s + _GRAM_BLOCK, n)
+            panel = np.conjugate(a[:, s:e], out=buf[:, : e - s])
+            np.matmul(panel.T, a[:, s:], out=g[s:e, s:])
+            np.conjugate(g[s:e, e:].T, out=g[e:, s:e])
+        return g
 
     @property
     def norm_sq(self) -> float:

@@ -331,6 +331,58 @@ def test_real_samples_take_a_real_gram_matrix():
     assert discretize(complex_fn, mode_grid(TILTED, Mode.REFLECTED, 64)).gram.dtype == complex
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _assert_gram_matches(wam, one):
+    """wam's blocked G is mirrored exactly and gives one's purity and spectrum."""
+    g = wam.gram
+    # each block row's part right of its diagonal block is mirrored exactly below it
+    b = purity_module._GRAM_BLOCK
+    for s in range(0, g.shape[0], b):
+        assert np.array_equal(_bits(g[s + b :, s : s + b]), _bits(g[s : s + b, s + b :].conj().T))
+    ref = purity_module.WeightedAmplitudeMatrix(wam.a)
+    ref.__dict__["gram"] = one  # the cached_property's slot, as if formed in one product
+    purity, lam = purity_from_matrix(wam)
+    want, want_lam = purity_from_matrix(ref)
+    assert purity == want
+    assert np.array_equal(_bits(lam), _bits(want_lam))
+
+
+GRAM_SHAPES = [(64, 64), (256, 128), (512, 512), (1024, 512), (256, 512)]
+
+
+@pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED], ids=lambda m: m.value)
+@pytest.mark.parametrize("shape", GRAM_SHAPES, ids=[f"{n1}x{n2}" for n1, n2 in GRAM_SHAPES])
+def test_blocked_gram_matrix_equals_one_product_bitwise(shape, mode):
+    fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_DD)
+    wam = discretize(fn, mode_grid(BLOCK_STATE, mode, shape))
+    a, g = wam.a, wam.gram
+    assert g.dtype == complex
+    if shape[0] >= shape[1]:
+        one = a.conj().T @ a
+        assert np.array_equal(_bits(g), _bits(one))
+    else:
+        # the wide grid's G is A^T's, conj(A A^H): equal to it up to the sign
+        # of the diagonal's zero imaginary parts, which np.conj flips
+        one = np.conj(a @ a.conj().T)
+        assert np.array_equal(g, one)
+        assert np.array_equal(_bits(g), _bits(a.conj() @ a.T))
+    _assert_gram_matches(wam, one)
+
+
+@pytest.mark.parametrize("shape", [(512, 256), (256, 512)], ids=["512x256", "256x512"])
+def test_blocked_real_gram_matrix_equals_one_product_bitwise(shape):
+    # real samples run the same block rows in real arithmetic
+    wam = discretize(TILTED_HC, mode_grid(TILTED, Mode.REFLECTED, shape))
+    x = wam.a.real.copy()
+    one = x.T @ x if shape[0] >= shape[1] else x @ x.T
+    assert wam.gram.dtype == np.float64
+    assert np.array_equal(_bits(wam.gram), _bits(one))
+    _assert_gram_matches(wam, one)
+
+
 @pytest.mark.parametrize("mode", [Mode.TRANSMITTED, Mode.REFLECTED], ids=lambda m: m.value)
 def test_sampling_peak_memory_stays_near_the_matrix(mode):
     fn = ModeWavefunction(mode, BLOCK_STATE, BLOCK_DD)
@@ -763,18 +815,18 @@ def two_branch_peak(spectrum):
 
 
 def test_a_branch_not_being_refined_keeps_no_samples():
-    # the last level's A, its conjugated copy in the Gram product and the
-    # 512^2 G peak at 2.56 x A's bytes here, as when the two branch ladders
-    # ran one after the other; a ladder that kept its A while the other
-    # branch sampled reached 4.0 x
-    assert two_branch_peak(spectrum=False) <= 3.0
+    # the last level's A, the Gram product's conjugated 1024 x 128 panel
+    # (0.25 x) and the 512^2 G (0.5 x) peak at 1.78 x A's bytes here, as
+    # when the two branch ladders ran one after the other; a ladder that
+    # kept its A while the other branch sampled reached 3.03 x
+    assert two_branch_peak(spectrum=False) <= 2.0
 
 
 def test_a_ladder_drops_its_gram_matrix_before_the_next_level():
     # with a spectrum each ladder keeps its last G: the other branch's 512^2
-    # G adds 0.5 x, for 3.02 x in all, and a ladder that kept its previous
-    # level's G while it sampled the next one reached 3.14 x
-    assert two_branch_peak(spectrum=True) <= 3.1
+    # G adds 0.5 x, for 2.28 x in all, and a ladder that kept its previous
+    # level's 256^2 G while it sampled the next one reached 2.41 x
+    assert two_branch_peak(spectrum=True) <= 2.4
 
 
 def test_hard_core_out_is_a_pure_reflection():
