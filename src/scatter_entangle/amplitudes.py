@@ -11,7 +11,7 @@ scatterer lists. Conventions:
   even under q -> -q; callers that need amplitudes on the outgoing branch
   evaluate at |q| (see the wavefunction module). A refinement level of the
   purity ladders calls :meth:`AmplitudeModel.amplitudes` once, on the 1-D
-  lattice of the relative momenta its grid takes (see the purity module),
+  lattice of the relative momenta its grid takes (see ``purity._q_lattice``),
   so a call sees a plain array of q, of order 10^4 of them.
 * A point scatterer of strength alpha couples through b = mu_red * alpha
   (hbar = 1); the single delta has r = i/(x - i), t = 1 + r with x = q/b.

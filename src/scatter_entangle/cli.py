@@ -22,8 +22,9 @@ comes from the config, whose SHA-256 every output carries; the flags
 spread rows over threads.
 
 Exit codes: 0 success; 1 failed self checks, an internal consistency abort
-or a defect (an unexpected exception, with its traceback); 2 config errors;
-3 unconverged quadrature under --strict. A sweep records in a row's error
+or a defect (an unexpected exception, with its traceback); 2 config errors,
+an unreadable --config or an --out that cannot be opened; 3 unconverged
+quadrature under --strict. A sweep records in a row's error
 column only the failures that depend on that point's configuration.
 
 Run as ``scatter-entangle`` or ``python -m scatter_entangle.cli``.
@@ -237,16 +238,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    _finite_float(text)  # which reads an integer beyond a double's range as inf
+    return int(text)
+
+
 def _load_config(path: Path) -> Tuple[dict, str]:
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        # json.loads accepts NaN and Infinity, which RFC 8259 does not, and
-        # reads a number beyond a double's range, such as 1e400, as inf; no
-        # schema bound stops either downstream
-        cfg = json.loads(raw, parse_constant=_reject_constant, parse_float=_finite_float)
+        # json.loads accepts NaN and Infinity, which RFC 8259 does not, reads
+        # a number beyond a double's range, such as 1e400, as inf, and an
+        # integer beyond it as an int that no float() downstream converts; no
+        # schema bound stops any of them
+        cfg = json.loads(
+            raw, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
+        )
     except ValueError as exc:  # also bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -381,10 +390,13 @@ def _write_csv(
 
 
 def _open_out(path: Optional[Path]):
-    """Stdout, or a file written with '\\n' newlines."""
+    """Stdout, or a file written with '\\n' newlines; ConfigError if it cannot be opened."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", newline="\n")
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

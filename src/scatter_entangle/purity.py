@@ -1,122 +1,29 @@
 """Purity of the one-particle reduced density matrix, by quadrature and a Gram matrix.
 
 A two-particle momentum wave function sampled on a tensor midpoint grid,
-with the rule's constant weight folded in as A[i, j] = sqrt(h1 h2) *
-phi(p1_i, p2_j), turns the purity integral into matrix algebra. With G the
-smaller of the Gram matrices A^H A and A A^H (Hermitian, the size of A's
-shorter side),
+with the rule's weight folded in as A[i, j] = sqrt(h1 h2) phi(p1_i, p2_j),
+turns the purity integral into matrix algebra. With G the smaller Gram
+matrix of A, purity = ||G||_F^2 / Tr(G)^2, and the eigenvalues of G over
+Tr(G) are the Schmidt weights. Each rule of the engine is stated once, at
+the name that implements it:
 
-    purity = Tr(G^2) / Tr(G)^2 = ||G||_F^2 / Tr(G)^2,
+- windows: ``_NSIG`` and :func:`_lobe_windows`; :func:`mode_grid` covers
+  one lobe and :func:`joint_grid` both, and :func:`_commensurate` widens
+  one window so that the grid's relative momenta lie on a lattice;
+- nodes: :func:`axis_nodes`, the midpoint rule;
+- sampling: :func:`discretize`, in blocks of ``_BLOCK_NODES`` nodes, with
+  parts below ``_FLUSH_BELOW`` stored as zeros, and a scattering mode's
+  amplitudes taken once per level on :func:`_q_lattice`;
+- the Gram matrix: :meth:`WeightedAmplitudeMatrix.gram`;
+- purity and spectrum: :func:`purity_from_matrix` and :func:`_schmidt_spectrum`;
+- the refinement ladders: :func:`check_ladder` for their settings and
+  :func:`_refine` for their stopping rule;
+- the out-state's branch split and its ``converged``: :func:`purity_out`;
+- the two 1-D integrals over q, which sample no grid: :func:`_branch_overlap`
+  and :func:`_oob_tails`.
 
-and the eigenvalues of G over Tr(G) are the Schmidt weights lambda, with
-purity = sum(lambda^2). G is formed a block row of 128 columns at a
-time, on and above its diagonal, and mirrored below it as the exact
-conjugate transpose: numpy has no Hermitian product for complex operands,
-so one ``a.conj().T @ a`` costs a conjugated copy of A and up to twice
-the flops, for bitwise the same G. A wide A gets conj(A A^H) by the same loop
-on A^T, with the same purity and spectrum (see
-:meth:`WeightedAmplitudeMatrix.gram`).
-
-Refinement levels need only the purity. The spectrum is computed once,
-from the last level's G, and only when the caller asks for it
-(``spectrum=True``, the default); the CLI sweep prints no spectrum and
-does not ask for it. It comes from a diagonally pivoted Cholesky
-factorization G = L L^H + S, stopped once Tr S <= 4 eps Tr G, and one
-eigensolve of the r x r matrix L^H L, where r is G's numerical rank (on
-the 48 criterion-10 branches, 3 to 60 for the 24 final G that are 128
-wide, 65 to 111 for the 14 that are 256 wide and 134 to 222 for the 10
-that are 512 wide, where the factorization takes 8-12 ms against about
-30 ms for a dense ``eigvalsh``; none there is 1024 wide). Each weight is
-then low by at most Tr S / Tr G <= 4 eps, below the roundoff of a dense
-eigensolve; the weights past r are reported as zeros, so the spectrum
-keeps length n. At full rank the factorization is the slower route:
-0.65-0.76 s against 0.25-0.33 s for a dense ``eigvalsh`` at n = 1024
-(2-core x86-64, OpenBLAS).
-
-A is sampled in blocks of whole rows, about 2^15 nodes each, written into
-one preallocated array, so the wave function's temporaries stay in cache
-and the peak memory of sampling is little more than A itself. The
-scattering modes' amplitudes depend on the pair momenta only through the
-relative momentum q = mu2 p1 - mu1 p2, and on a commensurate grid, whose
-steps mu2 h1 and mu1 h2 are in a ratio a / b of small integers, q takes
-only a (n1 - 1) + b (n2 - 1) + 1 values, equispaced: a lattice. So each
-level evaluates the amplitudes once, on that lattice, and each block
-gathers them as a view (see :func:`discretize`); a 1024^2 level of the
-reference sweep takes 9,208 momenta on its transmitted branch and 23,530
-on its reflected one, where it took one per node, 1,048,576. Every other
-wave function is called on each block and must be pointwise: each sample
-depends only on its own (p1, p2). Either way a block gets the bits it
-would get as one block of the whole grid once every block of a
-multi-block grid holds at least 2^15 nodes. Samples whose real or
-imaginary part lies below 2^-511 in magnitude are stored as zeros, so that
-no product of two samples in the Gram matrix is subnormal: subnormal
-arithmetic takes a slow path in the CPU, and tilted reflected windows,
-whose corners lie hundreds of e-folds down the Gaussian tail, held enough
-such samples to double the time of a 512^2 Gram matrix.
-A real A, as the hard core's reflected branch samples, gets its Gram matrix
-and spectrum in real arithmetic.
-
-Windows are decided here and nowhere else. A mode's lobe is centered on
-(k, -k), or on (-k, k) for the reflected modes, with the in-state's
-covariance diag(sigma1^2, sigma2^2) or its congruence R Sigma R^T under
-the reflection map R; its window spans a fixed +-8 sigma per axis, so
-that the truncated tails (1.2e-15 of |phi|^2 per axis) lie far below the
-tightest refinement tolerance, 1e-10. One of the two windows is then
-widened, by at most 1 %, to make the grid commensurate (see
-:func:`_commensurate`). On such windows the midpoint rule converges
-geometrically (see :func:`axis_nodes`). :func:`mode_grid` covers one lobe
-and refuses ``Mode.OUT``; :func:`joint_grid` covers both.
-:func:`purity_pq_adaptive` builds its own grid in (total, relative)
-momenta and samples the state or out-mode there by calling it at the
-corresponding pair momenta. Grids refine by doubling both axes until
-the error estimate of the reported purity meets rel_tol; hitting the node
-cap without convergence is reported, never silent.
-
-The out-state is handled as two single-mode ladders, recombined as
-w_t^2 * p_t + w_r^2 * p_r with weights w = n_mode / (n_tra + n_ref). The
-ladders are refined as one, against the error of that total rather than of each branch
-(QUADPACK's global error budget, Piessens et al. 1983): the estimate sums
-each branch's weighted successive changes of purity and norm, and only the
-branch with the largest share is doubled. Near a resonance the transmitted
-branch carries about 1e-4 of the total, so it stops several levels before
-its own purity would meet rel_tol. With one ladder the estimate is the
-successive relative difference of its purity.
-
-A change measures the error of the level before the one it leads to, and
-the midpoint rule converges geometrically on these analytic integrands,
-so a ladder's last level often only confirms the one before it. Where the raw
-estimate misses rel_tol, a second one is tried: purity and norm changes
-whose last two ratios both lie below 1/2 are each read as the tail
-|d_n| rho / (1 - rho), rho = |d_n / d_{n-1}|, of a geometric series, and
-the ladders stop one level early if that estimate meets rel_tol. Asking
-for two ratios follows Laurie's conditions for trusting an extrapolated
-error estimate (BIT 23, 258, 1983); QUADPACK likewise sharpens its raw
-estimates by a heuristic. The branch to double is still picked by raw
-share. On the reference sweep this stops 2 of 24 rows at 512^2 instead of
-1024^2; of the tolerance audit's 96 criterion-10 points it stops one at
-512x256 instead of 1024x512. Each branch's sub-report judges its own
-changes by the same rule, raw first. Neither estimate is a bound (see
-:func:`_refine`).
-
-The split drops the one-particle cross terms between the branches, which
-matter once the packets' momentum ranges overlap: at mu1 = 0.2, sigma =
-(0.3, 0.1) k and a delta at k = b the split is 2.8e-4 (relative) below the
-purity of the out-mode sampled on one joint grid. ``converged`` does not
-bound these terms, and neither does the overlap |<t|r>| that
-:func:`purity_out` reports (5.3e-6 in the case above).
-
-That overlap samples no grid. Scattering leaves the total momentum P
-unchanged and the reflected branch is phi_in at (P, -q), so its integrand
-factors into a Gaussian in P, integrated in closed form, and a function of
-q, integrated on 8 panels of 128 Gauss-Legendre nodes over [0, 8 s], where
-1/s^2 = 1/sigma1^2 + 1/sigma2^2 (see :func:`_branch_overlap`). Each
-branch's out-of-convention weight, where its incident relative momentum is
-non-positive, factors the same way: |phi_in|^2 integrated over P is a
-Gaussian in q, and the weight is one 1-D integral over q on 64 nodes (see
-:func:`_oob_tails`). These two q integrals keep Gauss-Legendre: their
-integrands do not decay at q = 0, the end of their interval, where the
-midpoint rule would converge only algebraically. Their rules are numpy's,
-at most 128 nodes. The ladders only sample and reduce.
+:func:`purity_adaptive` runs one ladder over any pointwise callable, and
+:func:`purity_pq_adaptive` one in (total, relative) momenta.
 """
 
 from __future__ import annotations
@@ -203,11 +110,9 @@ def axis_nodes(n: int, window: AxisWindow) -> Tuple[np.ndarray, float]:
     derivatives, at both window ends, so the rule converges geometrically,
     as the trapezoidal rule does on a periodic integrand (Trefethen &
     Weideman, SIAM Rev. 56, 385, 2014): the endpoint corrections of
-    Euler-Maclaurin are no larger than the truncated tails. Gauss-Legendre,
-    which clusters its nodes at the window ends, needed 4/3 to 2 times the
-    nodes per axis for the same purity. Equispaced nodes also put the
-    relative momenta of a commensurate grid on a lattice (see
-    :func:`discretize`).
+    Euler-Maclaurin are no larger than the truncated tails. Equispaced
+    nodes also put the relative momenta of a commensurate grid on a
+    lattice (see :func:`_q_lattice`).
     """
     h = 2.0 * window.halfwidth / n
     return window.center - window.halfwidth + h * (np.arange(n) + 0.5), h
@@ -270,14 +175,18 @@ class WeightedAmplitudeMatrix:
         return float(np.trace(self.gram).real)
 
 
-# Nodes per sampling block: a block's complex temporaries (512 KiB each) fit
-# together in a core's L2 cache instead of streaming grid-sized arrays
-# through DRAM. On a 2-core x86-64 machine with 2 MiB of L2 per core, 2^15
-# sampled the reference sweep's 512^2 and 1024^2 double-delta branches
-# faster than 2^16 or 2^17.
+# Nodes per sampling block (see discretize): a block's complex temporaries
+# (512 KiB each) fit together in a core's L2 cache instead of streaming
+# grid-sized arrays through DRAM. On a 2-core x86-64 machine with 2 MiB of
+# L2 per core, 2^15 sampled the reference sweep's 512^2 and 1024^2
+# double-delta branches faster than 2^16 or 2^17.
 _BLOCK_NODES = 1 << 15
 
-# Parts of samples below this magnitude are stored as zeros. At 2^-511, the
+# Parts of samples below this magnitude are stored as zeros (see
+# discretize), so that the Gram matrix is formed without subnormal
+# arithmetic, which takes a slow path in the CPU: tilted reflected windows,
+# whose corners lie hundreds of e-folds down the Gaussian tail, held enough
+# such samples to double the time of a 512^2 Gram matrix. At 2^-511, the
 # square root of the smallest normal double, no product of two stored parts
 # is subnormal. The package's wave functions are normalized, so their
 # weighted samples peak far above it; a matrix that peaks below 2^-256
@@ -317,12 +226,15 @@ def _q_lattice(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """A scattering mode's (t, r) on the grid's nodes, as views of one 1-D lattice in q.
 
-    On a grid whose q steps along the axes, mu2 h1 and mu1 h2, are in the
-    ratio a / b of integers, node (i, j) has q = q_max - delta m with
+    The amplitudes depend on the pair momenta only through the relative
+    momentum q = mu2 p1 - mu1 p2. On a grid whose q steps along the axes,
+    mu2 h1 and mu1 h2, are in the ratio a / b of integers (see
+    :func:`_commensurate`), node (i, j) has q = q_max - delta m with
     m = a (n1 - 1 - i) + b j and delta = mu2 h1 / a. The amplitudes are
     taken once, at the a (n1 - 1) + b (n2 - 1) + 1 lattice momenta in
     descending q, from the first row's last node to the last row's first,
-    so that each row is a forward slice of stride b. None for any other
+    so that each row is a forward slice of stride b: 9,208 momenta on a
+    1024^2 transmitted level of the reference sweep. None for any other
     wave function, and where the lattice would hold more momenta than the
     grid has nodes: a grid not built by :func:`mode_grid` or
     :func:`joint_grid`, or one whose width ratio is so extreme that its
@@ -355,27 +267,24 @@ def discretize(
 ) -> WeightedAmplitudeMatrix:
     """Sample ``wavefn(P1, P2)`` on the grid's midpoint nodes and fold in their weight.
 
-    The samples are written in blocks of whole rows, about 2^15 nodes each,
-    into one preallocated n1 x n2 array; a grid that small is one block. A
-    scattering :class:`~scatter_entangle.wavefunction.ModeWavefunction` on
-    a grid from :func:`mode_grid` or :func:`joint_grid` takes its
-    amplitudes from one call on the grid's q-lattice (see
-    :func:`_q_lattice`), and each block gathers them as a view; within
-    1e-12 of the peak sample, these are the samples of ``wavefn`` itself.
-    Any other ``wavefn`` is called on each block, ``wavefn(x1[rows, None],
-    x2[None, :])``, so it must be pointwise, each sample depending only on
-    its own (p1, p2). Every block of a multi-block grid holds at least 2^15
-    nodes, so its complex temporaries lie above numpy's 256 KiB
-    temporary-elision threshold, as one block of the whole grid's would;
-    elision reorders the operands of a complex product, which moves last
-    bits. So the samples are bitwise those of one block on the whole grid.
-    Node counts are powers of two, so a grid of more than one block splits
-    into equal blocks of max(1, 2^15 / n2) rows. Every node carries the
-    same weight h1 h2, folded in as one scalar sqrt(h1 h2).
-
-    Weighted samples whose real or imaginary part lies below 2^-511 in
-    magnitude have that part set to zero (``_FLUSH_BELOW``), so that the
-    Gram matrix is formed without subnormal arithmetic.
+    The samples are written in blocks of whole rows, ``_BLOCK_NODES`` = 2^15
+    nodes each, into one preallocated n1 x n2 array; a grid that small is
+    one block. Node counts are powers of two, so a larger grid splits into
+    equal blocks of max(1, 2^15 / n2) rows. A scattering
+    :class:`~scatter_entangle.wavefunction.ModeWavefunction` on a grid from
+    :func:`mode_grid` or :func:`joint_grid` takes its amplitudes from one
+    call on the grid's :func:`_q_lattice`, and each block gathers them as a
+    view; within 1e-12 of the peak sample, these are the samples of
+    ``wavefn`` itself. Any other ``wavefn`` is called on each block,
+    ``wavefn(x1[rows, None], x2[None, :])``, so it must be pointwise, each
+    sample depending only on its own (p1, p2). Every block of a multi-block
+    grid holds at least 2^15 nodes, so its complex temporaries lie above
+    numpy's 256 KiB temporary-elision threshold, as one block of the whole
+    grid's would; elision reorders the operands of a complex product, which
+    moves last bits. So the samples are bitwise those of one block on the
+    whole grid. Every node carries the same weight h1 h2, folded in as one
+    scalar sqrt(h1 h2). Weighted samples whose real or imaginary part lies
+    below ``_FLUSH_BELOW`` = 2^-511 in magnitude have that part set to zero.
 
     Aborts with diagnostics if any sample is non-finite, giving the whole
     grid's count and the first bad node; purity downstream would silently
@@ -424,15 +333,12 @@ def purity_from_matrix(
     """(purity, Schmidt spectrum) from the Gram matrix G of the samples.
 
     purity = ||G||_F^2 / Tr(G)^2, computed before and independently of the
-    spectrum. The spectrum, G's eigenvalues in descending order, clipped at
-    0 and normalized to sum to 1, is computed only when ``spectrum`` is true
-    (None otherwise), so that a refinement ladder pays for it once rather
-    than once per level. It comes from a pivoted Cholesky factor of G with
-    r columns, r being G's numerical rank, and an r x r eigensolve: each
-    weight is low by at most 4 eps, and the n - r weights past the rank are
-    exact zeros. Checked in the test suite against the singular values of
-    A, a dense eigensolve of G and an O(N^4) direct contraction of the
-    purity integral.
+    spectrum. The spectrum, G's eigenvalues over Tr(G) in descending order
+    (see :func:`_schmidt_spectrum` for its accuracy), is computed only when
+    ``spectrum`` is true (None otherwise), so that a refinement ladder pays
+    for it once rather than once per level. Checked in the test suite
+    against the singular values of A, a dense eigensolve of G and an O(N^4)
+    direct contraction of the purity integral.
 
     Raises :class:`ZeroWavefunctionError` once Tr(G)^2 falls below the
     smallest normal double (Tr(G) below 1.5e-154): ||G||_F^2 <= Tr(G)^2 is
@@ -460,12 +366,16 @@ def _schmidt_spectrum(g: np.ndarray) -> np.ndarray:
     Diagonally pivoted Cholesky (Higham, in Reliable Numerical Computation,
     1990; Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 428, 2012)
     writes G = L L^H + S with S positive semidefinite and stops once
-    Tr S <= 4 eps Tr G. The nonzero eigenvalues
-    of L L^H are those of the r x r matrix L^H L, so the eigensolve costs
-    O(r^3) and the factor O(n r^2), for rank r of the n x n matrix G. By
-    Weyl's inequality each weight is low by at most Tr S / Tr G <= 4 eps,
-    and the weights dropped by the stop sum to exactly that. The weights
-    past r are zero, so the spectrum keeps its length n.
+    Tr S <= 4 eps Tr G. The nonzero eigenvalues of L L^H are those of the
+    r x r matrix L^H L, so the eigensolve costs O(r^3) and the factor
+    O(n r^2), for rank r of the n x n matrix G. By Weyl's inequality each
+    weight is low by at most Tr S / Tr G <= 4 eps, below the roundoff of a
+    dense eigensolve, and the weights dropped by the stop sum to exactly
+    that. The weights past r are exact zeros, so the spectrum keeps its
+    length n. Near a double-delta resonance G has low rank: the final G of
+    the criterion-10 branches that are 512 wide have rank 134 to 222, and
+    the factorization takes 8-12 ms there against about 30 ms for a dense
+    ``eigvalsh``. At full rank it is the slower route.
     """
     n = g.shape[0]
     d = g.diagonal().real.copy()  # diagonal of the Schur complement S
@@ -498,29 +408,21 @@ class PurityReport:
     """Result of an adaptive purity computation.
 
     ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error``
-    is the estimated relative error of ``purity``, NaN when only one grid
-    ran, and ``converged`` says it met rel_tol before the node caps. For one
-    ladder the estimate is the last successive relative difference or,
-    where that misses rel_tol and the last two ratios of the ladder's
-    changes lie below 1/2, the tail of their geometric series, if that meets
-    rel_tol (see :func:`_refine`). For out-state reports the branch fields
-    are populated, ``purity = purity_tra + purity_ref``, ``refinements``
-    lists the transmitted levels and then the reflected ones, and the
-    estimate is the total's (see :func:`purity_out`), while ``tra_report``
-    and ``ref_report`` keep each branch's own estimate, by the same raw-first
-    rule, and ``converged``. The out-state's ``converged`` also asks that
-    ``norm_sq`` lie within rel_tol of 1, the norm of the out-state, which a
-    grid whose nodes collapse below ulp(k) misses. Only out-state reports
-    and their sub-reports carry ``oob_weight``, each branch's weight at
-    incident q <= 0 over its squared norm and, at the top level, the
-    largest of them; a ladder over any other callable leaves it None.
-    ``schmidt_spectrum`` holds
-    one weight per row of the final grid's Gram matrix, descending; the
-    weights past its numerical rank are exact zeros, and the others are low
-    by at most 4 eps (pivoted Cholesky, see :func:`purity_from_matrix`). It
-    is None when the computation ran with ``spectrum=False``, which skips
-    the factorization of the final grid and leaves every other field
-    unchanged.
+    is the estimated relative error of ``purity`` that stopped the
+    refinement (see :func:`_refine`), NaN when only one grid ran, and
+    ``converged`` says it met rel_tol before the node caps. Out-state
+    reports populate the branch fields, with ``purity = purity_tra +
+    purity_ref``, and list the transmitted levels and then the reflected
+    ones in ``refinements``; :func:`purity_out` says what their
+    ``converged`` also checks and how ``tra_report`` and ``ref_report``
+    judge each branch. Only out-state reports and their sub-reports carry
+    ``oob_weight``, each branch's weight at incident q <= 0 over its
+    squared norm and, at the top level, the largest of them; a ladder over
+    any other callable leaves it None. ``schmidt_spectrum`` holds one
+    weight per row of the final grid's Gram matrix, descending (see
+    :func:`_schmidt_spectrum`). It is None when :func:`purity_out` ran with
+    ``spectrum=False``, which skips the factorization of the final grids
+    and leaves every other field unchanged.
     """
 
     purity: float
@@ -637,7 +539,7 @@ class _Ladder:
         return self.grid.doubled(*self.caps) != self.grid
 
     def report(self, rel_tol: float, tail: Optional[float] = None) -> PurityReport:
-        """This ladder alone, judged by its own changes as :func:`_estimate` judges a total.
+        """This ladder alone, judged by its own changes as :func:`_refine` judges a total.
 
         ``tail``, a branch's weight at incident q <= 0 (see :func:`_oob_tails`),
         is reported over the last level's squared norm as ``oob_weight``.
@@ -662,7 +564,7 @@ def _weights(ladders: Sequence[_Ladder]) -> list:
     return w + [1.0 - sum(w)]
 
 
-# A ladder's changes count as geometric once two successive ratios lie below this
+# the ratio of changes below which a ladder counts as geometric (see _refine)
 _RATIO = 0.5
 
 
@@ -671,9 +573,9 @@ def _last_change(d: Tuple[float, float, float]) -> float:
 
 
 def _geometric_tail(d: Tuple[float, float, float]) -> float:
-    """|d_n| rho / (1 - rho), rho = |d_n / d_{n-1}|, if also |d_{n-1} / d_{n-2}| < 1/2.
+    """The geometric tail of :func:`_refine` for changes (d_{n-2}, d_{n-1}, d_n).
 
-    Otherwise |d_n|, as for a zero or unknown earlier change.
+    |d_n| where the tail does not apply, as for a zero or unknown earlier change.
     """
     d2, d1, d0 = d
     if d1 != 0.0 and d2 != 0.0:
@@ -696,12 +598,7 @@ def _shares(ladders: Sequence[_Ladder], change: Callable) -> list:
 
 
 def _estimate(ladders: Sequence[_Ladder], rel_tol: float) -> Tuple[float, list]:
-    """(error estimate of the total sum(w^2 p), each ladder's raw share).
-
-    The raw estimate sums the shares read from each ladder's last changes.
-    Only where it misses rel_tol is the geometric estimate tried, the shares
-    read through :func:`_geometric_tail`; it is returned if it meets rel_tol.
-    """
+    """(error estimate of the total, each ladder's raw share), as defined at :func:`_refine`."""
     raw = _shares(ladders, _last_change)
     est = sum(raw)
     if est > rel_tol:
@@ -714,42 +611,44 @@ def _estimate(ladders: Sequence[_Ladder], rel_tol: float) -> Tuple[float, list]:
 def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
     """Refine sampled ladders until the total sum(w^2 p) meets rel_tol.
 
-    The error estimate of the total P = sum_b w_b^2 p_b, with w_b = n_b / N
-    and N = sum_b n_b, sums each ladder's share
+    The ladders refine as one, against the error of the total
+    P = sum_b w_b^2 p_b, with w_b = n_b / N and N = sum_b n_b, rather than
+    of each ladder: near a resonance the transmitted branch carries about
+    1e-4 of the total, so it stops several levels before its own purity
+    would meet rel_tol. The raw estimate sums each ladder's share
     (w_b^2 |dp_b| + 2 |w_b p_b - P| |dn_b| / N) / P: the change of its
     purity and, through the weights, of its norm, dP/dn_b being
     2 (w_b p_b - P) / N. Absolute values are summed, so changes that cancel
     cannot stop the refinement. While the estimate exceeds rel_tol, the
     ladder with the largest raw share that is still below its node caps
-    doubles its grid; a ladder with one level has an unknown (NaN) share
-    and goes first. This is the global error budget of QUADPACK's ``qag``
-    (Piessens et al., 1983). With one ladder, w = 1 and the estimate is
-    |dp| / p. Returns the estimate: at most rel_tol if the total converged,
-    larger or NaN if every ladder reached its caps first.
+    doubles both axes of its grid; a ladder with one level has an unknown
+    (NaN) share and goes first. This is the global error budget of
+    QUADPACK's ``qag`` (Piessens et al., 1983), which also sharpens its raw
+    estimates by a heuristic, as the second estimate below does. With one
+    ladder, w = 1 and the estimate is |dp| / p. Returns the estimate: at
+    most rel_tol if the total converged, larger or NaN if every ladder
+    reached its caps first.
 
     The raw estimate reads |dp_b| and |dn_b| as each ladder's last change
     d_n, which measures the error of the level before the reported one.
-    The midpoint rule converges geometrically on these analytic integrands,
-    which have decayed to 1e-15 at their windows' ends, so
-    where the raw estimate misses rel_tol a second one is tried: a change
-    whose last two ratios rho = |d_n / d_{n-1}| and |d_{n-1} / d_{n-2}| both
-    lie below 1/2 is read as the tail |d_n| rho / (1 - rho) of a geometric
-    series, purity and norm changes each on their own. If that estimate
-    meets rel_tol, refinement stops one level early and returns it. Two
-    ratios are asked for, not one, after Laurie's conditions for trusting an
-    extrapolated error estimate (BIT 23, 258, 1983), as QUADPACK sharpens
-    its raw estimates by a heuristic too: on the reference sweep's row
-    k = 0.385b one small ratio stopped the transmitted branch at 256^2,
-    1.1e-5 from the total. The branch to double is still chosen by raw
-    share, so every ladder's levels are a prefix of those the raw estimate
-    alone would sample.
+    The midpoint rule converges geometrically on these analytic integrands
+    (see :func:`axis_nodes`), and a ladder's last level often only confirms
+    the one before it; so where the raw estimate misses rel_tol a second
+    one is tried: a change whose last two ratios rho = |d_n / d_{n-1}| and
+    |d_{n-1} / d_{n-2}| both lie below ``_RATIO`` = 1/2 is read as the tail
+    |d_n| rho / (1 - rho) of a geometric series, purity and norm changes
+    each on their own. If that estimate meets rel_tol, refinement stops one
+    level early and returns it; it does so on 2 of the reference sweep's
+    24 rows. Two ratios are asked for, not one, after Laurie's conditions
+    for trusting an extrapolated error estimate (BIT 23, 258, 1983): one
+    small ratio alone does not show that the changes have settled into a
+    geometric series. The ladder to double is still chosen by raw share, so
+    every ladder's levels are a prefix of those the raw estimate alone
+    would sample.
 
     Neither estimate is a bound. On the tolerance audit's 192 reference-row
     and criterion-10 points the reported total lies within its estimate of
-    the fine total except on 12, whose errors are roundoff (below 3e-15);
-    but on the Gauss-Legendre grids the engine sampled before, reference
-    row k = 0.241b read 6.6e-6 where its total lay 7.7e-6 from the fine
-    one.
+    the fine total except on 12, whose errors are roundoff (below 3e-15).
     """
     while True:
         est, shares = _estimate(ladders, rel_tol)
@@ -766,22 +665,21 @@ def purity_adaptive(
     grid: GridSpec,
     rel_tol: float = _REL_TOL,
     n_cap: NPair = _N_CAP,
-    spectrum: bool = True,
 ) -> PurityReport:
-    """Refine the grid by doubling until purity changes by less than rel_tol.
+    """Refine ``grid`` by doubling until the purity of ``wavefn`` meets rel_tol.
 
-    Relative tolerance on successive differences, or on the tail of their
-    geometric series once two successive ratios lie below 1/2 (see
-    :func:`_refine`); the report's ``refinement_error`` is the estimate
-    that stopped the ladder. The settings are checked
-    by :func:`check_ladder`. If the per-axis node caps are hit first, the
-    last result is returned with ``converged = False``. The Schmidt
-    spectrum of the final grid is computed only if ``spectrum`` is true.
-    This is the one-ladder case of the refinement that :func:`purity_out`
-    runs on two.
+    ``wavefn`` is sampled as :func:`discretize` samples it, and the ladder
+    stops by the rule of :func:`_refine`: the report's ``refinement_error``
+    is the estimate that stopped it. The settings are checked by
+    :func:`check_ladder`, with ``grid``'s node counts as the start. If the
+    per-axis node caps are hit first, the last result is returned with
+    ``converged = False``. The report carries the final grid's Schmidt
+    spectrum. Raises as :func:`discretize` and :func:`purity_from_matrix`
+    do. This is the one-ladder case of the refinement that
+    :func:`purity_out` runs on two.
     """
     check_ladder(rel_tol, (grid.n1, grid.n2), n_cap)
-    ladder = _Ladder(wavefn, grid, n_cap, spectrum)
+    ladder = _Ladder(wavefn, grid, n_cap, spectrum=True)
     ladder.sample()
     _refine([ladder], rel_tol)
     return ladder.report(rel_tol)
@@ -795,12 +693,12 @@ _NSIG = 8.0
 
 
 def _lobe_windows(state: GaussianInState, reflected: bool) -> Tuple[AxisWindow, AxisWindow]:
-    """Axis-aligned bounding box of one lobe's +-8 sigma covariance ellipse.
+    """Axis-aligned bounding box of one lobe's +-``_NSIG`` sigma covariance ellipse.
 
-    The incident lobe sits at (k, -k) with covariance Sigma = diag(sigma1^2,
-    sigma2^2): amplitude factors only reshuffle weight inside the in-state's
-    envelope. The reflected lobe sits at (-k, k) with the congruence
-    R Sigma R^T of the reflection map R.
+    Every grid's windows start here. The incident lobe sits at (k, -k) with
+    covariance Sigma = diag(sigma1^2, sigma2^2): amplitude factors only
+    reshuffle weight inside the in-state's envelope. The reflected lobe
+    sits at (-k, k) with the congruence R Sigma R^T of the reflection map R.
     """
     k = state.k
     cov = np.diag([state.sigma1**2, state.sigma2**2])
@@ -836,11 +734,10 @@ def _commensurate(masses, w1: AxisWindow, w2: AxisWindow) -> Tuple[AxisWindow, A
 
 
 def mode_grid(state: GaussianInState, mode: Mode, n: NPair = _BASE_N) -> GridSpec:
-    """Grid over one lobe's window; ``Mode.OUT`` has two and raises ValueError.
+    """Grid over one lobe's windows; ``Mode.OUT`` has two lobes and raises ValueError.
 
-    The windows span the lobe's +-8 sigma box, one of them widened by at
-    most 1 % to make the grid commensurate (see :func:`_commensurate`). A
-    grid over both lobes is :func:`joint_grid`.
+    The windows are :func:`_lobe_windows`, made commensurate by
+    :func:`_commensurate`. A grid over both lobes is :func:`joint_grid`.
     """
     if mode is Mode.OUT:
         raise ValueError(
@@ -854,8 +751,8 @@ def mode_grid(state: GaussianInState, mode: Mode, n: NPair = _BASE_N) -> GridSpe
 def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
     """Single grid whose windows cover both the in and reflected lobes.
 
-    The windows span both lobes' +-8 sigma boxes, one of them widened by at
-    most 1 % to make the grid commensurate (see :func:`_commensurate`).
+    The windows span both lobes' :func:`_lobe_windows`, made commensurate
+    by :func:`_commensurate`.
     """
     n1, n2 = _as_pair(n)
     windows = []
@@ -867,9 +764,8 @@ def joint_grid(state: GaussianInState, n: NPair = 256) -> GridSpec:
     return GridSpec(n1=n1, n2=n2, window1=w1, window2=w2)
 
 
-# numpy's Gauss-Legendre rules for the 1-D q integrals, whose integrands do
-# not decay at q = 0: the overlap's on 8 panels of 128 nodes, the tails' on
-# 64 nodes (see :func:`_branch_overlap` and :func:`_oob_tails`)
+# numpy's Gauss-Legendre rules of the two q integrals, one per node count
+# (see _branch_overlap and _oob_tails)
 _gauss_legendre = lru_cache(maxsize=2)(np.polynomial.legendre.leggauss)
 
 
@@ -919,11 +815,11 @@ def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
 
     1/s^2 = 1/sigma1^2 + 1/sigma2^2, since t and r are taken at |q|. The
     exponent is at most -1/2 and underflows to an exact 0 for narrow
-    packets. The q integral runs over [0, 8 s] (the module's +-8 sigma rule)
-    on 8 equal panels of 128 Gauss-Legendre nodes, with one amplitude call:
-    the integrand does not decay at q = 0, so the ladders' midpoint rule
-    would converge there only algebraically. Raises FloatingPointError if
-    its integrand is not finite.
+    packets. The q integral runs over [0, ``_NSIG`` s] on ``_OVERLAP_PANELS``
+    equal panels of ``_OVERLAP_N`` Gauss-Legendre nodes, with one amplitude
+    call: the integrand does not decay at q = 0, so the ladders' midpoint
+    rule would converge there only algebraically. Raises FloatingPointError
+    if its integrand is not finite.
     """
     s = 1.0 / float(np.hypot(1.0 / state.sigma1, 1.0 / state.sigma2))
     q, w = _q_nodes(_NSIG * s, _OVERLAP_N, _OVERLAP_PANELS)
@@ -944,7 +840,7 @@ def _branch_overlap(state: GaussianInState, model: AmplitudeModel) -> float:
 # workload's 72 hard-core and delta points, 5.2e-13 on the 24 criterion-10
 # points, and 1.1e-11 on the reference sweep's rows up to k = 0.193b. From
 # there narrow resonances of the double delta's |t|^2 lie inside
-# [0, 8 sigma_q], which a fixed rule does not resolve: the transmitted tail,
+# [0, _NSIG sigma_q], which a fixed rule does not resolve: the transmitted tail,
 # below 1e-15 of the in-state, is off by up to 130 % and the reflected one
 # by up to 3.4e-6 (1.9e-2 and 4.6e-8 on 1,024 nodes).
 _TAIL_N = 64
@@ -961,11 +857,11 @@ def _oob_tails(state: GaussianInState, model: AmplitudeModel) -> list:
 
         int_0^inf |a(u)|^2 g(-u) du,  a = t or r,
 
-    taken on 64 Gauss-Legendre nodes over [0, 8 sigma_q] (the module's
-    +-8 sigma rule) with one amplitude call; the integrand peaks at u = 0,
-    the end of its interval, where the midpoint rule would converge only
-    algebraically. The Gaussian underflows to an exact 0 for narrow
-    packets. Raises FloatingPointError if an integrand is not finite.
+    taken on ``_TAIL_N`` Gauss-Legendre nodes over [0, ``_NSIG`` sigma_q]
+    with one amplitude call; the integrand peaks at u = 0, the end of its
+    interval, where the midpoint rule would converge only algebraically.
+    The Gaussian underflows to an exact 0 for narrow packets. Raises
+    FloatingPointError if an integrand is not finite.
     """
     sq = state.sigma_q
     u, w = _q_nodes(_NSIG * sq, _TAIL_N)
@@ -987,39 +883,35 @@ def purity_out(
 ) -> PurityReport:
     """Purity of the full out-state via the two-branch mode split.
 
-    Each branch is integrated on its own window; branch purities recombine
-    as w_t^2 * p_t + w_r^2 * p_r with w = branch norm / total norm. The two
-    ladders refine as one (see :func:`_refine`): the branch that carries the
-    largest raw share of the total's error estimate doubles its grid until
-    the estimate meets rel_tol, raw or, where the branches' changes shrink
-    geometrically, read as the tail of their series.
-    ``refinement_error`` is that estimate and ``converged`` says it met
-    rel_tol before the node caps and that ``norm_sq`` lies within rel_tol
-    of 1: the in-state is normalized and scattering unitary, so a norm
-    further off shows a grid that does not resolve the packet, whose
-    levels may still agree. Each branch's sub-report keeps its own
-    estimate, by the same raw-first rule on its own changes, and its own
-    ``converged``, which a branch with a small weight may leave false. The
-    split drops the one-particle cross terms between the branches, which
-    matter when the packets' momentum ranges overlap (see the module
-    docstring); ``converged`` does not bound those terms. The overlap
-    |<transmitted|reflected>| factors into a closed-form integral over the
-    total momentum times a 1-D integral over q on 8 panels of 128
-    Gauss-Legendre nodes (see :func:`_branch_overlap`); it is not a bound on
-    the split's error either, and a non-finite integrand raises
-    FloatingPointError. A
-    branch that vanishes in the sense of :func:`purity_from_matrix` (the
-    hard core's transmission, or a weight below 1.5e-154, whose share
+    Each branch is sampled on its own :func:`mode_grid`, and the branch
+    purities recombine as w_t^2 * p_t + w_r^2 * p_r with w = branch norm /
+    total norm. The two ladders refine as one, by the rule of
+    :func:`_refine`, whose estimate is ``refinement_error``. ``converged``
+    says that the estimate met rel_tol before the node caps and that
+    ``norm_sq`` lies within rel_tol of 1: the in-state is normalized and
+    scattering unitary, so a norm further off shows a grid that does not
+    resolve the packet, such as one whose nodes collapse below ulp(k),
+    whose levels may still agree. Each branch's sub-report judges that
+    branch's own changes by the same rule and keeps its own ``converged``,
+    which a branch with a small weight may leave false.
+
+    The split drops the one-particle cross terms between the branches,
+    which matter once the packets' momentum ranges overlap: at mu1 = 0.2,
+    sigma = (0.3, 0.1) k and a delta at k = b the split is 2.8e-4
+    (relative) below the purity of the out-mode sampled on one joint grid.
+    ``converged`` does not bound these terms, and neither does ``overlap``,
+    |<transmitted|reflected>| (see :func:`_branch_overlap`), 5.3e-6 in that
+    case. A branch that vanishes in the sense of :func:`purity_from_matrix`
+    (the hard core's transmission, or a weight below 1.5e-154, whose share
     w^2 p of the total lies far below roundoff) contributes nothing and is
     marked absent via a None sub-report; the overlap is then 0.0 exactly,
-    and no integral is computed. Each live branch's ``oob_weight`` is its
-    weight at incident q <= 0, a 1-D integral over q (see
-    :func:`_oob_tails`), over its ladder's squared norm; the report's is
-    the largest. It is computed after the overlap, and a non-finite
-    integrand raises FloatingPointError too. All settings are checked by
-    :func:`check_ladder` first. With
-    ``spectrum`` false neither branch runs its final eigensolve and the
-    report's spectra are None.
+    and no integral is computed. ZeroWavefunctionError if both vanish.
+    Each live branch's ``oob_weight`` is its weight at incident q <= 0 (see
+    :func:`_oob_tails`) over its ladder's squared norm; the report's is the
+    largest. The overlap is computed before the tails, and either raises
+    FloatingPointError on a non-finite integrand. All settings are checked
+    by :func:`check_ladder` first. With ``spectrum`` false neither branch
+    runs its final factorization and the report's spectra are None.
     """
     check_ladder(rel_tol, base_n, n_cap)
     ladders = {}
@@ -1077,10 +969,11 @@ def purity_pq_adaptive(
     Scattering leaves this quantity untouched: the S operator is local in the
     (p, q) tensor structure, so in- and out-states share it. The out-state
     at (p, q) is t(|q|) phi(p, q) + r(|q|) phi(p, -q), since reflecting the
-    pair momenta of (p, q) lands exactly on (p, -q). The p window spans
-    +-8 sqrt(sigma1^2 + sigma2^2) about 0. With a model the out-state is
-    evaluated on the q window [-(k + 8 sigma_q), k + 8 sigma_q], which holds
-    both lobes; without one, the in-state on its incident lobe, k +- 8 sigma_q.
+    pair momenta of (p, q) lands exactly on (p, -q). The windows span
+    ``_NSIG`` standard deviations: in p, +-_NSIG sqrt(sigma1^2 + sigma2^2)
+    about 0; in q, with a model, the out-state on [-(k + _NSIG sigma_q),
+    k + _NSIG sigma_q], which holds both lobes, and without one the
+    in-state on its incident lobe, k +- _NSIG sigma_q.
     """
     obj: Union[GaussianInState, ModeWavefunction]
     if model is None:

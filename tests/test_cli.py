@@ -480,6 +480,55 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
+BEYOND_DOUBLE = "1" + "0" * 400  # a JSON integer that no double holds
+
+
+@pytest.mark.parametrize(
+    "command, cfg_dict, path",
+    [
+        ("amplitudes", AMPLITUDES_CFG, ("potential", "alpha")),
+        ("amplitudes", AMPLITUDES_CFG, ("masses", "M")),
+        ("purity", DELTA_PURITY_CFG, ("potential", "alpha")),
+        ("purity", DELTA_PURITY_CFG, ("state", "k")),
+        ("sweep", SWEEP_CFG, ("potential", "alpha")),
+    ],
+)
+def test_an_integer_beyond_the_double_range_is_a_config_error(
+    tmp_path, capsys, command, cfg_dict, path
+):
+    cfg_dict = json.loads(json.dumps(cfg_dict))
+    cfg_dict[path[0]][path[1]] = 0  # a placeholder that the text below replaces
+    text = json.dumps(cfg_dict).replace(f'"{path[1]}": 0', f'"{path[1]}": {BEYOND_DOUBLE}')
+    cfg = tmp_path / "big.json"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: config is not valid JSON: {BEYOND_DOUBLE} is out of range for a double\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, cfg_dict",
+    [
+        ("amplitudes", AMPLITUDES_CFG),
+        ("purity", dict(DELTA_PURITY_CFG, engine={"rel_tol": 1e-4, "n_cap": 128})),
+        ("sweep", SWEEP_CFG),
+        ("reflectmap", REFLECTMAP_CFG),
+    ],
+)
+def test_an_out_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, command, cfg_dict):
+    cfg = write_config(tmp_path, "cfg.json", cfg_dict)
+    out = tmp_path / "missing" / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write output: [Errno 2] ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_unit_without_strength_scale_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -480,14 +480,20 @@ def test_purity_out_without_spectrum_changes_nothing_else():
         assert_same_but_spectrum(getattr(with_spec, branch), getattr(without, branch))
 
 
-@pytest.mark.parametrize("n_cap", [256, 32])  # 32: one level, NaN refinement error
-def test_purity_adaptive_without_spectrum_changes_nothing_else(n_cap):
+def test_a_one_level_ladder_reports_its_spectrum_and_a_null_error():
+    # n_cap = base_n: one level, whose refinement error is NaN, written as null
     st = make_state(mu1=0.2)
     fn = ModeWavefunction(Mode.REFLECTED, st, AmplitudeModel.dirac_delta(6.25, st.masses))
-    grid = mode_grid(st, Mode.REFLECTED, 32)
-    with_spec = purity_adaptive(fn, grid, 1e-6, n_cap)
-    without = purity_adaptive(fn, grid, 1e-6, n_cap, spectrum=False)
-    assert_same_but_spectrum(with_spec, without)
+    rep = purity_adaptive(fn, mode_grid(st, Mode.REFLECTED, 32), 1e-6, 32)
+    assert len(rep.refinements) == 1
+    assert math.isnan(rep.refinement_error)
+    assert not rep.converged
+    assert len(rep.schmidt_spectrum) == 32
+    assert rep.schmidt_spectrum.sum() == pytest.approx(1.0, abs=1e-12)
+    d = json.loads(json.dumps(rep.as_dict()), parse_constant=_raise_on_constant)
+    assert d["refinement_error"] is None
+    assert d["schmidt_rank_full"] == 32
+    assert d["schmidt_spectrum"] == rep.schmidt_spectrum.tolist()
 
 
 def test_schmidt_spectrum_is_a_distribution():
@@ -644,7 +650,7 @@ def test_mode_split_matches_the_joint_grid_where_the_packets_overlap():
     rep = purity_out(st, model, rel_tol=1e-6, spectrum=False)
     assert rep.converged
     out = ModeWavefunction(Mode.OUT, st, model)
-    joint = purity_adaptive(out, joint_grid(st, 256), rel_tol=1e-9, spectrum=False)
+    joint = purity_adaptive(out, joint_grid(st, 256), rel_tol=1e-9)
     assert joint.converged
     assert abs(rep.purity - joint.purity) <= 1e-6 * joint.purity
 
