@@ -23,9 +23,10 @@ spread rows over threads.
 
 Exit codes: 0 success; 1 failed self checks, an internal consistency abort
 or a defect (an unexpected exception, with its traceback); 2 config errors,
-an unreadable --config or an --out that cannot be opened; 3 unconverged
-quadrature under --strict. A sweep records in a row's error
-column only the failures that depend on that point's configuration.
+an unreadable --config or an --out that cannot be opened, which every
+command opens before it computes; 3 unconverged quadrature under --strict.
+A sweep records in a row's error column only the failures that depend on
+that point's configuration.
 
 Run as ``scatter-entangle`` or ``python -m scatter_entangle.cli``.
 """
@@ -37,6 +38,8 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
@@ -93,7 +96,9 @@ _POINT_FAILURES = (ZeroWavefunctionError, FloatingPointError)
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _RATIO = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _UNIT = {"enum": ["absolute", "b", "M_alpha"]}
-_NUM = {"type": "integer", "minimum": 1}
+# points on an axis: up to a million, so that a huge count is a config error
+# rather than an array np.linspace cannot allocate
+_NUM = {"type": "integer", "minimum": 1, "maximum": 1_000_000}
 _N_OR_PAIR = {
     "oneOf": [
         {"type": "integer"},
@@ -389,14 +394,27 @@ def _write_csv(
     writer.writerows((_fmt(v) for v in row) for row in rows)
 
 
+@contextlib.contextmanager
 def _open_out(path: Optional[Path]):
-    """Stdout, or a file written with '\\n' newlines; ConfigError if it cannot be opened."""
+    """Stdout, or a file written with '\\n' newlines; ConfigError if it cannot be opened.
+
+    Commands open it before they compute, so that a bad --out fails at
+    once. The file is not truncated on opening: it is written over from its
+    start and cut after the last byte written when the block ends without
+    an exception, so a run that fails first leaves an existing file as it
+    was (and a new one empty).
+    """
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline="\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
+    with open(fd, "w", newline="\n") as stream:
+        yield stream
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or device cannot be cut
+            stream.truncate()
 
 
 # --------------------------------------------------------------------------
@@ -421,10 +439,6 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
     unit = cfg["q_grid"].get("unit", "absolute")
     q_axis = _axis_values(cfg["q_grid"])
     q_abs = q_axis * _momentum_scale(unit, model)
-    t, r = _amplitudes(model, q_abs)
-    T = np.abs(t) ** 2
-    R = np.abs(r) ** 2
-    resid = unitarity_residual(AmplitudePair(t, r))
     columns = [
         ("q", f"relative momentum in '{unit}' units"),
         ("re_t", "Re t(q)"),
@@ -435,8 +449,12 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
         ("R", "|r|^2 reflection probability"),
         ("unitarity_residual", "| |t|^2 + |r|^2 - 1 |"),
     ]
-    rows = zip(q_axis, t.real, t.imag, r.real, r.imag, T, R, resid)
     with _open_out(out) as stream:
+        t, r = _amplitudes(model, q_abs)
+        T = np.abs(t) ** 2
+        R = np.abs(r) ** 2
+        resid = unitarity_residual(AmplitudePair(t, r))
+        rows = zip(q_axis, t.real, t.imag, r.real, r.imag, T, R, resid)
         _write_csv(stream, "amplitudes", sha, columns, rows)
     return EXIT_OK
 
@@ -469,41 +487,41 @@ def cmd_purity(cfg: dict, sha: str, out: Optional[Path], strict: bool) -> int:
         raise ConfigError(f"$.state: {exc}") from exc
     eng = _engine_from(cfg)
 
-    try:
-        if model is None:
-            report = purity_adaptive(
-                ModeWavefunction(Mode.IN, state),
-                mode_grid(state, Mode.IN, eng["base_n"]),
-                rel_tol=eng["rel_tol"],
-                n_cap=eng["n_cap"],
-            )
-            approximations = None
-        else:
-            approximations = _approximations(model, state)
-            report = purity_out(state, model, **eng)
-    except _POINT_FAILURES as exc:
-        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-
-    payload = {
-        "version": __version__,
-        "command": "purity",
-        "config_sha256": sha,
-        "inputs": {
-            "mu1": mp.mu1,
-            "M": mp.M,
-            "k": state.k,
-            "sigma1": state.sigma1,
-            "sigma2": state.sigma2,
-            "a1": state.a1,
-            "a2": state.a2,
-            "potential": cfg["potential"],
-            "schulman_satisfied": schulman_satisfied(mp, state.sigma1, state.sigma2),
-        },
-        "engine": eng,
-        "approximations": approximations,
-        "report": report.as_dict(),
-    }
     with _open_out(out) as stream:
+        try:
+            if model is None:
+                report = purity_adaptive(
+                    ModeWavefunction(Mode.IN, state),
+                    mode_grid(state, Mode.IN, eng["base_n"]),
+                    rel_tol=eng["rel_tol"],
+                    n_cap=eng["n_cap"],
+                )
+                approximations = None
+            else:
+                approximations = _approximations(model, state)
+                report = purity_out(state, model, **eng)
+        except _POINT_FAILURES as exc:
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+
+        payload = {
+            "version": __version__,
+            "command": "purity",
+            "config_sha256": sha,
+            "inputs": {
+                "mu1": mp.mu1,
+                "M": mp.M,
+                "k": state.k,
+                "sigma1": state.sigma1,
+                "sigma2": state.sigma2,
+                "a1": state.a1,
+                "a2": state.a2,
+                "potential": cfg["potential"],
+                "schulman_satisfied": schulman_satisfied(mp, state.sigma1, state.sigma2),
+            },
+            "engine": eng,
+            "approximations": approximations,
+            "report": report.as_dict(),
+        }
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
     if strict and not report.converged:
@@ -589,11 +607,10 @@ def cmd_sweep(cfg: dict, sha: str, out: Optional[Path], workers: int, strict: bo
     k_axis = _axis_values(cfg["k_axis"])
     point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg))
     ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(point, ks, ks_abs))
-
     names = [name for name, _ in SWEEP_COLUMNS]
     with _open_out(out) as stream:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(point, ks, ks_abs))
         _write_csv(stream, "sweep", sha, SWEEP_COLUMNS, ([r[n] for n in names] for r in rows))
 
     bad = [r for r in rows if not r["converged"] or r["error"]]

@@ -17,7 +17,8 @@ the name that implements it:
 - the Gram matrix: :meth:`WeightedAmplitudeMatrix.gram`;
 - purity and spectrum: :func:`purity_from_matrix` and :func:`_schmidt_spectrum`;
 - the refinement ladders: :func:`check_ladder` for their settings and
-  :func:`_refine` for their stopping rule;
+  :func:`_refine` for their stopping rule, a first level's check on its
+  every-other-node subgrid included;
 - the out-state's branch split and its ``converged``: :func:`purity_out`;
 - the two 1-D integrals over q, which sample no grid: :func:`_branch_overlap`
   and :func:`_oob_tails`.
@@ -409,7 +410,8 @@ class PurityReport:
 
     ``refinements`` traces (n1, n2, purity) per grid; ``refinement_error``
     is the estimated relative error of ``purity`` that stopped the
-    refinement (see :func:`_refine`), NaN when only one grid ran, and
+    refinement (see :func:`_refine`), NaN only when a first level's
+    subgrid vanished and no second level ran, and
     ``converged`` says it met rel_tol before the node caps. Out-state
     reports populate the branch fields, with ``purity = purity_tra +
     purity_ref``, and list the transmitted levels and then the reflected
@@ -456,7 +458,8 @@ class PurityReport:
             "schmidt_rank_reported": None if lam is None else len(head),
             "schmidt_rank_full": None if lam is None else len(lam),
             "grid_n": list(self.grid_n),
-            # JSON (RFC 8259) has no NaN, which a one-grid ladder leaves here
+            # JSON (RFC 8259) has no NaN, which a one-level ladder leaves here
+            # when its subgrid vanishes
             "refinement_error": None if np.isnan(err) else err,
             "converged": self.converged,
             "norm_sq": self.norm_sq,
@@ -511,10 +514,12 @@ class _Ladder:
     """One wave function's refinement ladder, holding only its last level's numbers.
 
     ``d_purity`` and ``d_norm`` are the last three changes between levels,
-    oldest first, NaN where the ladder has fewer levels. :meth:`sample`
-    reduces each level as it is drawn to what the ladder and its report read
-    of it: purity, norm and, for a spectrum, the Gram matrix G. So no ladder
-    holds samples A past the level that drew them.
+    oldest first, NaN where the ladder has fewer levels; ``d_first`` holds
+    the first level's changes of purity and norm from its subgrid, which
+    :func:`_refine` reads instead while the ladder has one level.
+    :meth:`sample` reduces each level as it is drawn to what the ladder and
+    its report read of it: purity, norm and, for a spectrum, the Gram
+    matrix G. So no ladder holds samples A past the level that drew them.
     """
 
     def __init__(self, wavefn, grid: GridSpec, n_cap: NPair, spectrum: bool) -> None:
@@ -522,12 +527,15 @@ class _Ladder:
         self.trace = []
         self.purity = self.norm_sq = float("nan")
         self.d_purity = self.d_norm = (float("nan"),) * 3
+        self.d_first = (float("nan"),) * 2
         self.gram = None
 
     def sample(self) -> None:
         self.gram = None  # the last level's G would otherwise outlive the next A
         wam = discretize(self.wavefn, self.grid)
         purity, _ = purity_from_matrix(wam, spectrum=False)
+        if not self.trace:
+            self.d_first = _subgrid_changes(wam, purity)
         self.d_purity = self.d_purity[1:] + (purity - self.purity,)
         self.d_norm = self.d_norm[1:] + (wam.norm_sq - self.norm_sq,)
         self.purity, self.norm_sq = purity, wam.norm_sq
@@ -555,6 +563,19 @@ class _Ladder:
             refinements=tuple(self.trace),
             oob_weight=None if tail is None else tail / self.norm_sq,
         )
+
+
+def _subgrid_changes(wam: WeightedAmplitudeMatrix, purity: float) -> Tuple[float, float]:
+    """A level's changes of purity and norm from its subgrid (see :func:`_refine`).
+
+    NaN where the subgrid vanishes.
+    """
+    sub = WeightedAmplitudeMatrix(2.0 * wam.a[::2, ::2])
+    try:
+        sub_purity, _ = purity_from_matrix(sub, spectrum=False)
+    except ZeroWavefunctionError:
+        return float("nan"), float("nan")
+    return purity - sub_purity, wam.norm_sq - sub.norm_sq
 
 
 def _weights(ladders: Sequence[_Ladder]) -> list:
@@ -585,15 +606,21 @@ def _geometric_tail(d: Tuple[float, float, float]) -> float:
     return abs(d0)
 
 
+def _changes(lad: _Ladder) -> Tuple[tuple, tuple]:
+    """A ladder's purity and norm changes: between its levels, or its first level's subgrid's."""
+    if math.isnan(lad.d_purity[-1]):
+        return tuple((math.nan, math.nan, d) for d in lad.d_first)
+    return lad.d_purity, lad.d_norm
+
+
 def _shares(ladders: Sequence[_Ladder], change: Callable) -> list:
     """Each ladder's share of the total's relative error, ``change`` read from its changes."""
     w = _weights(ladders)
     n = sum(lad.norm_sq for lad in ladders)
     total = sum(wb**2 * lad.purity for wb, lad in zip(w, ladders))
     return [
-        (wb**2 * change(lad.d_purity) + 2.0 * abs(wb * lad.purity - total) * change(lad.d_norm) / n)
-        / total
-        for wb, lad in zip(w, ladders)
+        (wb**2 * change(dp) + 2.0 * abs(wb * lad.purity - total) * change(dn) / n) / total
+        for wb, lad, (dp, dn) in zip(w, ladders, map(_changes, ladders))
     ]
 
 
@@ -621,8 +648,7 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
     2 (w_b p_b - P) / N. Absolute values are summed, so changes that cancel
     cannot stop the refinement. While the estimate exceeds rel_tol, the
     ladder with the largest raw share that is still below its node caps
-    doubles both axes of its grid; a ladder with one level has an unknown
-    (NaN) share and goes first. This is the global error budget of
+    doubles both axes of its grid. This is the global error budget of
     QUADPACK's ``qag`` (Piessens et al., 1983), which also sharpens its raw
     estimates by a heuristic, as the second estimate below does. With one
     ladder, w = 1 and the estimate is |dp| / p. Returns the estimate: at
@@ -646,9 +672,20 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
     every ladder's levels are a prefix of those the raw estimate alone
     would sample.
 
+    A ladder with one level has no change between levels yet, so its dp
+    and dn are read from its first level's subgrid A[::2, ::2], every
+    other node of each axis with weights 4 h1 h2 (``_Ladder.d_first``, from
+    :func:`_subgrid_changes`): the level's own samples on an equispaced
+    rule of twice the step, which converges like the midpoint rule on these
+    integrands (see :func:`axis_nodes`) and costs a Gram matrix of a
+    quarter of the nodes. So a resolved point stops at its base grid, and a
+    ladder that reaches a second level forgets the subgrid. Where the
+    subgrid vanishes (:class:`ZeroWavefunctionError`) the share is unknown
+    (NaN) and that ladder doubles first.
+
     Neither estimate is a bound. On the tolerance audit's 192 reference-row
     and criterion-10 points the reported total lies within its estimate of
-    the fine total except on 12, whose errors are roundoff (below 3e-15).
+    the fine total except on 13, whose errors are roundoff (below 2.1e-15).
     """
     while True:
         est, shares = _estimate(ladders, rel_tol)

@@ -134,7 +134,9 @@ def test_purity_strict_flags_unconverged(tmp_path):
 
     payload = json.loads(out.read_text(), parse_constant=reject)
     assert payload["report"]["converged"] is False
-    assert payload["report"]["refinement_error"] is None
+    # one level per branch, judged by its every-other-node subgrid
+    assert [len(payload["report"][b]["refinements"]) for b in ("tra", "ref")] == [1, 1]
+    assert payload["report"]["refinement_error"] > payload["engine"]["rel_tol"]
 
 
 def test_purity_pair_engine_settings(tmp_path):
@@ -313,7 +315,8 @@ def test_sweep_records_a_points_own_failure_in_its_row(tmp_path, monkeypatch, ex
 
 
 def test_sweep_strict_exit_code(tmp_path):
-    cfg_dict = dict(SWEEP_CFG)
+    # a tilted packet, whose one 32^2 level is far off from its subgrid
+    cfg_dict = dict(SWEEP_CFG, state={"sigma1_over_k": 0.05, "sigma2_over_k": 0.3})
     cfg_dict["engine"] = {"rel_tol": 1e-9, "base_n": 32, "n_cap": 32}
     cfg_dict["k_axis"] = {"start": 1.0, "stop": 1.0, "num": 1, "unit": "b"}
     cfg = write_config(tmp_path, "tight.json", cfg_dict)
@@ -518,7 +521,15 @@ def test_an_integer_beyond_the_double_range_is_a_config_error(
         ("reflectmap", REFLECTMAP_CFG),
     ],
 )
-def test_an_out_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, command, cfg_dict):
+def test_an_out_path_that_cannot_be_opened_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, cfg_dict
+):
+    # --out is opened before any point is computed
+    def not_reached(*args, **kw):
+        raise AssertionError("a point ran before --out was opened")
+
+    for name in ("_amplitudes", "purity_out", "reflected_gaussian_purity_mu_c"):
+        monkeypatch.setattr(cli, name, not_reached)
     cfg = write_config(tmp_path, "cfg.json", cfg_dict)
     out = tmp_path / "missing" / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -527,6 +538,55 @@ def test_an_out_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, c
     assert captured.err.startswith("config error: cannot write output: [Errno 2] ")
     assert captured.err.count("\n") == 1
     assert not out.parent.exists()
+
+
+def test_an_existing_out_file_is_replaced_only_once_the_output_is_written(
+    tmp_path, monkeypatch
+):
+    cfg = write_config(tmp_path, "cfg.json", SWEEP_CFG)
+    expected = tmp_path / "expected.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(expected)]) == 0
+    out = tmp_path / "out.csv"
+    old = "x" * (2 * len(expected.read_text())) + "\n"
+    out.write_text(old)
+    # a longer old file is cut after the new output
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    # a device cannot be cut, and takes the output all the same
+    assert run(["sweep", "--config", str(cfg), "--out", os.devnull]) == 0
+    # a run that fails before writing leaves the file as it was
+    out.write_text(old)
+
+    def failing(state, model, **kw):
+        raise FloatingPointError("no sample is finite")
+
+    monkeypatch.setattr(cli, "purity_out", failing)
+    pcfg = write_config(tmp_path, "purity.json", DELTA_PURITY_CFG)
+    assert run(["purity", "--config", str(pcfg), "--out", str(out)]) == 2
+    assert out.read_text() == old
+
+
+@pytest.mark.parametrize(
+    "command, cfg_dict, axis",
+    [
+        ("amplitudes", AMPLITUDES_CFG, "q_grid"),
+        ("sweep", SWEEP_CFG, "k_axis"),
+        ("reflectmap", REFLECTMAP_CFG, "mu1_axis"),
+    ],
+)
+def test_an_axis_of_over_a_million_points_is_a_config_error(
+    tmp_path, capsys, command, cfg_dict, axis
+):
+    # np.linspace cannot allocate 10^20 points; the schema stops them first
+    cfg_dict = dict(cfg_dict, **{axis: dict(cfg_dict[axis], num=10**20)})
+    cfg = write_config(tmp_path, "cfg.json", cfg_dict)
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: $.{axis}.num: 100000000000000000000"
+        " is greater than the maximum of 1000000\n"
+    )
 
 
 def test_unit_without_strength_scale_exits_2(tmp_path, capsys):

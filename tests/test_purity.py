@@ -481,19 +481,46 @@ def test_purity_out_without_spectrum_changes_nothing_else():
 
 
 def test_a_one_level_ladder_reports_its_spectrum_and_a_null_error():
-    # n_cap = base_n: one level, whose refinement error is NaN, written as null
+    # n_cap = base_n: one level, whose refinement error is read from its
+    # every-other-node subgrid
     st = make_state(mu1=0.2)
     fn = ModeWavefunction(Mode.REFLECTED, st, AmplitudeModel.dirac_delta(6.25, st.masses))
     rep = purity_adaptive(fn, mode_grid(st, Mode.REFLECTED, 32), 1e-6, 32)
     assert len(rep.refinements) == 1
-    assert math.isnan(rep.refinement_error)
-    assert not rep.converged
+    assert 0.0 < rep.refinement_error <= 1e-6
+    assert rep.converged
     assert len(rep.schmidt_spectrum) == 32
     assert rep.schmidt_spectrum.sum() == pytest.approx(1.0, abs=1e-12)
     d = json.loads(json.dumps(rep.as_dict()), parse_constant=_raise_on_constant)
-    assert d["refinement_error"] is None
+    assert d["refinement_error"] == rep.refinement_error
     assert d["schmidt_rank_full"] == 32
     assert d["schmidt_spectrum"] == rep.schmidt_spectrum.tolist()
+    # a level whose subgrid vanishes leaves the error NaN, written as null:
+    # on the 32^2 grid over [-16, 16]^2 this is zero unless both nodes have
+    # an odd index
+    def odd_nodes_only(p1, p2):
+        odd = ((p1 + 15.5) % 2.0 == 1.0) & ((p2 + 15.5) % 2.0 == 1.0)
+        return np.where(odd, np.exp(-0.05 * (p1**2 + p1 * p2 + p2**2)), 0.0)
+
+    rep = purity_adaptive(odd_nodes_only, square_grid(32, 16.0), 1e-6, 32)
+    assert len(rep.refinements) == 1
+    assert math.isnan(rep.refinement_error)
+    assert not rep.converged
+    assert len(rep.schmidt_spectrum) == 32
+    d = json.loads(json.dumps(rep.as_dict()), parse_constant=_raise_on_constant)
+    assert d["refinement_error"] is None
+    assert d["schmidt_rank_full"] == 32
+
+
+def test_a_resolved_hard_core_point_stops_at_its_base_grid():
+    st = make_state(mu1=0.2, s1=0.05, s2=0.2)
+    rep = purity_out(st, AmplitudeModel.hard_core(st.masses), spectrum=False)
+    assert rep.refinements == ((64, 64, rep.purity),)
+    assert rep.converged
+    assert rep.refinement_error <= 1e-6
+    want = reflected_gaussian_purity(st.masses, st.sigma1, st.sigma2)
+    assert want < 0.9
+    assert abs(rep.purity - want) <= 1e-6 * want
 
 
 def test_schmidt_spectrum_is_a_distribution():
@@ -575,8 +602,10 @@ def test_reflected_gaussian_quadrature_hits_closed_form(mu1, c, expected):
 
 
 def test_adaptive_traces_its_refinements():
-    st = make_state(mu1=0.2)
-    rep = purity_adaptive(st, mode_grid(st, Mode.IN, 64), rel_tol=1e-8)
+    # a tilted reflected packet, not resolved on its first level
+    st = make_state(mu1=0.2, s1=0.3, s2=0.05)
+    refl = ModeWavefunction(Mode.REFLECTED_IN, st)
+    rep = purity_adaptive(refl, mode_grid(st, Mode.REFLECTED_IN, 64), rel_tol=1e-8)
     assert rep.converged
     assert len(rep.refinements) >= 2
     assert rep.refinements[0][:2] == (64, 64)
@@ -586,10 +615,12 @@ def test_adaptive_traces_its_refinements():
 
 
 def test_cap_hit_reports_non_convergence():
-    st = make_state(mu1=0.2)
-    rep = purity_adaptive(st, mode_grid(st, Mode.IN, 32), rel_tol=1e-8, n_cap=32)
+    # a tilted reflected packet, whose 32^2 level is far off from its subgrid
+    st = make_state(mu1=0.2, s1=0.3, s2=0.05)
+    refl = ModeWavefunction(Mode.REFLECTED_IN, st)
+    rep = purity_adaptive(refl, mode_grid(st, Mode.REFLECTED_IN, 32), rel_tol=1e-8, n_cap=32)
     assert not rep.converged
-    assert math.isnan(rep.refinement_error)
+    assert rep.refinement_error > 1e-3
     assert rep.refinements == ((32, 32, rep.purity),)
 
 
@@ -662,11 +693,14 @@ def _history(d):
 
 class _StubLadder:
     """A sampled ladder with given changes, at its node caps unless given
-    ``more``: the purity changes of the levels left to sample, with no norm change."""
+    ``more``: the purity changes of the levels left to sample, with no norm
+    change. ``d_first`` are its first level's subgrid changes, which a
+    ladder with NaN changes between levels has only."""
 
-    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0, more=()):
+    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0, more=(), d_first=(math.nan,) * 2):
         self.norm_sq, self.purity = norm_sq, purity
         self.d_purity, self.d_norm = _history(d_purity), _history(d_norm)
+        self.d_first = d_first
         self.more = list(more)
         self.grid, self.caps = GridSpec(32, 32, AxisWindow(0.0, 1.0), AxisWindow(0.0, 1.0)), (1024, 1024)
 
@@ -690,6 +724,27 @@ def test_branch_changes_that_cancel_keep_the_estimate_up():
     ladders = [_StubLadder(0.5, 0.4, 0.0, 1e-4), _StubLadder(0.5, 0.6, 0.0, -1e-4)]
     est = purity_module._refine(ladders, 1e-5)
     assert est == pytest.approx(2 * 2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
+
+
+def test_a_one_level_ladder_is_judged_by_its_subgrid():
+    # one level: no change between levels, so the subgrid's changes are read
+    one = (math.nan,) * 3
+    lad = _StubLadder(1.0, 0.5, one, one, more=[1e-9], d_first=(1e-6, 0.0))
+    assert purity_module._refine([lad], 1e-5) == 1e-6 / 0.5
+    assert lad.more == [1e-9]
+    # a norm change of the subgrid counts through the weights as between levels
+    ladders = [
+        _StubLadder(0.5, 0.4, one, one, d_first=(0.0, 1e-4)),
+        _StubLadder(0.5, 0.6, 0.0),
+    ]
+    assert purity_module._refine(ladders, 1e-3) == pytest.approx(2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
+    # a vanished subgrid leaves the share unknown: that ladder doubles,
+    # although the other's known share (1e-3) already meets rel_tol
+    vanished = _StubLadder(0.5, 0.4, one, one, more=[1e-9])
+    ladders = [_StubLadder(0.5, 0.6, 1e-3, more=[1e-9]), vanished]
+    assert purity_module._refine(ladders, 1e-2) == pytest.approx(1e-3, rel=1e-6)
+    assert vanished.more == []
+    assert ladders[0].more == [1e-9]
 
 
 def test_two_geometric_ratios_stop_the_ladder_with_the_tail():
@@ -776,6 +831,32 @@ def test_reference_rows_converge_within_rel_tol_of_the_fine_total(row):
     assert rep.converged
     fine = REFERENCE_ROWS[row]
     assert abs(rep.purity - fine) <= 1e-5 * fine
+
+
+def test_a_reference_row_that_refines_keeps_its_ladders_bitwise():
+    # k = 0.337b: both branches reach a second level, so the first level's
+    # subgrid check changes none of their levels or bits
+    mp = MassPartition(0.2)
+    alpha = 6.25
+    model = AmplitudeModel.double_dirac_delta(alpha, 10.0 / (mp.mu_red * alpha), mp)
+    k = float(np.linspace(0.05, 0.6, 24)[12]) * model.strength_scale
+    st = GaussianInState(k=k, sigma1=0.2 * k, sigma2=0.1 * k, masses=mp)
+    rep = purity_out(st, model, rel_tol=1e-5, base_n=64, n_cap=1024, spectrum=False)
+    assert rep.tra_report.refinements == (
+        (64, 64, 0.5306499113503984),
+        (128, 128, 0.4479941925018326),
+        (256, 256, 0.4384887453802659),
+        (512, 512, 0.4382826904621943),
+    )
+    assert rep.ref_report.refinements == (
+        (64, 64, 0.46272955320796383),
+        (128, 128, 0.46204688233614616),
+        (256, 256, 0.4620050731122199),
+        (512, 512, 0.4620050076739825),
+    )
+    assert rep.purity == 0.41790717654079734
+    assert rep.refinement_error == 1.3999522622290252e-06
+    assert rep.converged
 
 
 def test_hard_core_out_ladder_is_unchanged_bitwise():

@@ -22,10 +22,11 @@ the rows, 8192x2048 for criterion 10. Each point is also run twice through
 and a point whose final grids differ is recorded as shortened, with both
 runs' grids and errors.
 
-Writing the file takes about an hour on a 2-core x86-64 machine, nearly all
-of it in the 8192x2048 references. ``--check`` recomputes the references of
-the first two shortened points, two rows at 2048^2 (about 5 s), and exits 1
-unless both match the file to 1e-12 relative. tests/test_tolerance_audit.py
+Writing the file takes about 12 minutes on a 2-core x86-64 machine, over
+two thirds of it on the criterion-10 points and their 8192x2048
+references. ``--check`` recomputes the references of the first two
+shortened points, two rows at 2048^2 (about 5 s), and exits 1 unless both
+match the file to 1e-12 relative. tests/test_tolerance_audit.py
 re-runs every shortened point against the file.
 """
 
