@@ -4,14 +4,16 @@ Each check returns a :class:`CheckResult` with a residual-style detail
 string. The suite is deliberately fast (``scatter-entangle validate``
 takes about 0.3 s on a 2-core x86-64 machine, under 0.1 s of it in the
 checks) and covers the ground truth the package rests on: unitarity, the
-reflection involution, closed-form agreement, mode additivity, and
-invariance of the centre-of-mass/relative purity under scattering.
+reflection involution, the double delta's resonance roots, closed-form
+agreement, mode additivity, invariance of the centre-of-mass/relative
+purity under scattering, and the ordering purity_CR <= purity_C of the
+analytic estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -60,53 +62,29 @@ def shipped_parameter_sets() -> List[ShippedCase]:
 
     Momentum scale is fixed at k = 1 (purities are scale free); delta
     strengths put the central momentum at x = k/b = 1, the double delta at
-    a*b = 10 with k well off resonance.
+    b = 1 and a*b = 10 with k = 0.10*b between resonances.
     """
-    cases = []
-    m_eq = MassPartition(0.5)
-    m_42 = MassPartition(0.2)
-    k = 1.0
-    for name, mp in (("hard_core/equal_mass", m_eq), ("hard_core/m2_4m1", m_42)):
-        cases.append(
-            ShippedCase(
-                name,
-                GaussianInState(k=k, sigma1=k / 10, sigma2=k / 5, masses=mp),
-                AmplitudeModel.hard_core(mp),
-            )
-        )
-    cases.append(
-        ShippedCase(
-            "delta/m2_4m1_c_half",
-            GaussianInState(k=k, sigma1=k / 5, sigma2=k / 10, masses=m_42),
-            AmplitudeModel.dirac_delta(k / m_42.mu_red, m_42),
-        )
+    m_eq, m_42 = MassPartition(0.5), MassPartition(0.2)
+
+    def delta(m: MassPartition) -> AmplitudeModel:
+        return AmplitudeModel.dirac_delta(1.0 / m.mu_red, m)
+
+    def double_delta(m: MassPartition) -> AmplitudeModel:
+        return AmplitudeModel.double_dirac_delta(1.0 / m.mu_red, 10.0, m)
+
+    table = (
+        # name, masses, k, sigma1, sigma2, model
+        ("hard_core/equal_mass", m_eq, 1.0, 0.1, 0.2, AmplitudeModel.hard_core),
+        ("hard_core/m2_4m1", m_42, 1.0, 0.1, 0.2, AmplitudeModel.hard_core),
+        ("delta/m2_4m1_c_half", m_42, 1.0, 0.2, 0.1, delta),
+        ("delta/equal_mass", m_eq, 1.0, 0.2, 0.2, delta),
+        ("delta/schulman", m_42, 1.0, 0.1, 0.2, delta),
+        ("double_delta/off_resonance", m_42, 0.1, 0.01, 0.005, double_delta),
     )
-    cases.append(
-        ShippedCase(
-            "delta/equal_mass",
-            GaussianInState(k=k, sigma1=k / 5, sigma2=k / 5, masses=m_eq),
-            AmplitudeModel.dirac_delta(k / m_eq.mu_red, m_eq),
-        )
-    )
-    cases.append(
-        ShippedCase(
-            "delta/schulman",
-            GaussianInState(k=k, sigma1=k / 10, sigma2=k / 5, masses=m_42),
-            AmplitudeModel.dirac_delta(k / m_42.mu_red, m_42),
-        )
-    )
-    # k = 0.10*b sits between resonances; a*b = 10
-    b = 1.0
-    cases.append(
-        ShippedCase(
-            "double_delta/off_resonance",
-            GaussianInState(k=0.10 * b, sigma1=0.01 * b, sigma2=0.005 * b, masses=m_42),
-            AmplitudeModel.double_dirac_delta(
-                b / m_42.mu_red, 10.0 / b, m_42
-            ),
-        )
-    )
-    return cases
+    return [
+        ShippedCase(name, GaussianInState(k=k, sigma1=s1, sigma2=s2, masses=m), model(m))
+        for name, m, k, s1, s2, model in table
+    ]
 
 
 def _check_involution(rng: np.random.Generator) -> CheckResult:
@@ -228,9 +206,9 @@ def _check_pq_invariance() -> CheckResult:
 def _check_approx_ordering() -> CheckResult:
     mp = MassPartition(0.2)
     pbar = reflected_gaussian_purity_mu_c(0.2, 0.5)
+    model = AmplitudeModel.dirac_delta(1.0, mp)
     worst = -np.inf
     for x in np.linspace(0.2, 3.0, 40):
-        model = AmplitudeModel.dirac_delta(1.0, mp)
         t, r = model.amplitudes(x * model.strength_scale)
         gap = approx_CR(t, r, pbar) - approx_C(abs(t) ** 2, abs(r) ** 2)
         worst = max(worst, gap)

@@ -14,13 +14,15 @@ so running the script in two checkouts and comparing the directories with
 - the benchmark's reference sweep (``ReferenceSweep.CONFIG`` of
   bench/workloads.py) with ``--workers 1 --strict`` and ``--workers 2``;
 - ``validate``;
-- the CI workflow's moved-positions config and its widest light corners;
+- ``purity --strict`` on each of ``STRICT``: packets with moved positions
+  and the light corners whose windows widen most (``workflow_0`` to
+  ``workflow_4``);
 - a ``none`` potential, and a double delta on wide grids (``base_n``
   [64, 128]).
 
-Exits 1, after writing every output, if any run wrote to stderr: a
-warning under ``PYTHONWARNINGS=error``, a traceback or a ``--strict``
-message. About 6 s on a 2-core x86-64 machine.
+Exits 1, after writing every output, if any run exited nonzero or wrote to
+stderr: a failed self check, a warning under ``PYTHONWARNINGS=error``, a
+traceback or a ``--strict`` message. About 6-11 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
-
-import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +48,24 @@ WIDE = {
     "state": {"k_over_b": 0.3, "sigma1_over_k": 0.2, "sigma2_over_k": 0.1},
     "engine": {"base_n": [64, 128], "n_cap": [512, 1024]},
 }
+# run as purity --strict, which exits 3 if a report is unconverged
+STRICT = [
+    # a1 != a2 gives the branch overlap its phase cos(2 q (a2 - a1));
+    # the run must exit 0 with no warning from the overlap integral
+    {"masses": {"mu1": 0.2}, "potential": {"kind": "delta", "alpha": 6.25},
+     "state": {"k": 1.0, "sigma1_over_k": 0.3, "sigma2_over_k": 0.1, "a1": -1.0, "a2": 2.0}},
+    # mode_grid widens one window by at most 1 % to make the grid's steps
+    # in q a ratio of small integers; these light_points corners widen the
+    # most, their reflected windows by 0.93 % (to 23/9 and 9/23)
+    {"masses": {"mu1": 0.1}, "potential": {"kind": "hard_core"},
+     "state": {"k": 1.0, "sigma1_over_k": 0.05, "sigma2_over_k": 0.3}},
+    {"masses": {"mu1": 0.9}, "potential": {"kind": "hard_core"},
+     "state": {"k": 1.0, "sigma1_over_k": 0.3, "sigma2_over_k": 0.05}},
+    {"masses": {"mu1": 0.1}, "potential": {"kind": "delta", "alpha": 1.0},
+     "state": {"k_over_b": 0.3, "sigma1_over_k": 0.05, "sigma2_over_k": 0.3}},
+    {"masses": {"mu1": 0.9}, "potential": {"kind": "delta", "alpha": 1.0},
+     "state": {"k_over_b": 3.0, "sigma1_over_k": 0.3, "sigma2_over_k": 0.05}},
+]
 
 
 def readme_configs():
@@ -60,15 +78,6 @@ def readme_configs():
         if heading in commands
         for block in re.findall(r"```json\n(.*?)```", body, flags=re.S)
     ]
-
-
-def workflow_configs():
-    """The CI's moved-positions heredoc and its light corners, by step name."""
-    doc = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
-    runs = {s.get("name"): s.get("run", "") for job in doc["jobs"].values() for s in job["steps"]}
-    moved = re.search(r"<<'EOF'\n(.*?)\nEOF\n", runs["Purity of packets with moved positions"], re.S)
-    corners = re.findall(r"^\s*'(\{.*\})'$", runs["Light corners whose windows widen most converge"], re.M)
-    return [json.loads(moved.group(1))] + [json.loads(c) for c in corners]
 
 
 def runs():
@@ -84,7 +93,7 @@ def runs():
         ("reference_w2", ["sweep", "--workers", "2"], reference),
         ("validate", ["validate"], None),
     ]
-    out += [(f"workflow_{i}", ["purity", "--strict"], cfg) for i, cfg in enumerate(workflow_configs())]
+    out += [(f"workflow_{i}", ["purity", "--strict"], cfg) for i, cfg in enumerate(STRICT)]
     out += [("none", ["purity"], NONE), ("wide_base_n", ["purity"], WIDE)]
     return out
 
@@ -108,8 +117,8 @@ def main() -> int:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         (outdir / f"{name}.stdout").write_text(proc.stdout)
         (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
-        if proc.stderr:
-            print(f"{name}: {proc.stderr}", file=sys.stderr, end="")
+        if proc.returncode or proc.stderr:
+            print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr, end="")
             failed = True
     return 1 if failed else 0
 

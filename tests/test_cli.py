@@ -14,6 +14,7 @@ from scatter_entangle.amplitudes import AmplitudeModel, AmplitudePair
 from scatter_entangle.analytic import reflected_gaussian_purity
 from scatter_entangle.cli import run
 from scatter_entangle.kinematics import MassPartition
+from scatter_entangle.validate import CheckResult
 from scatter_entangle.wavefunction import GaussianInState, Mode, ModeWavefunction
 
 
@@ -363,6 +364,22 @@ def test_validate_passes(capsys):
     text = capsys.readouterr().out
     assert "[PASS]" in text
     assert "[FAIL]" not in text
+
+
+def test_validate_fails_when_a_check_fails(monkeypatch, capsys):
+    results = [
+        CheckResult("first.check", True, "fine"),
+        CheckResult("second", False, "residual 1.00e-01"),
+        CheckResult("third.check", True, "fine"),
+    ]
+    monkeypatch.setattr(cli, "run_all", lambda: results)
+    assert run(["validate"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] first.check  fine",
+        "[FAIL] second       residual 1.00e-01",
+        "[PASS] third.check  fine",
+        "2/3 checks passed",
+    ]
 
 
 @pytest.mark.parametrize(
