@@ -10,8 +10,9 @@ has one schema and one reader here. The schemas check the engine settings'
 types and shapes only: purity.check_ladder owns their defaults and
 ranges, and returns the completed settings. The CLI runs it once before
 any work, so that a bad engine config exits 2 instead of failing row by
-row. A state that the library rejects, or amplitudes that are not finite
-at the config's own momenta, are a config error in ``amplitudes`` and
+row; so do masses and a potential that the library rejects. A state that
+the library rejects, or amplitudes that are not finite at the config's own
+momenta, are a config error in ``amplitudes`` and
 ``purity`` and a row error in ``sweep``. So are the quadrature's failures
 at one point: a vanishing wave function, non-finite samples, and a squared
 norm too large to square, which only a grid that does not resolve the wave
@@ -281,9 +282,12 @@ def _check_schema(cfg: dict, schema: dict) -> None:
 
 def _masses_from(cfg: dict) -> MassPartition:
     m = cfg["masses"]
-    if "mu1" in m:
-        return MassPartition(mu1=m["mu1"], M=m.get("M", 1.0))
-    return MassPartition.from_masses(m["m1"], m["m2"])
+    try:
+        if "mu1" in m:
+            return MassPartition(mu1=m["mu1"], M=m.get("M", 1.0))
+        return MassPartition.from_masses(m["m1"], m["m2"])  # m1 + m2 may overflow
+    except ValueError as exc:
+        raise ConfigError(f"$.masses: {exc}") from exc
 
 
 def _potential_from(cfg: dict, mp: MassPartition) -> Optional[AmplitudeModel]:
@@ -296,11 +300,14 @@ def _potential_from(cfg: dict, mp: MassPartition) -> Optional[AmplitudeModel]:
     if kind == "delta":
         return AmplitudeModel.dirac_delta(pot["alpha"], mp)
     alpha = pot["alpha"]
-    if "half_separation" in pot:
-        a = pot["half_separation"]
-    else:
-        a = pot["half_separation_times_strength"] / (mp.mu_red * alpha)
-    return AmplitudeModel.double_dirac_delta(alpha, a, mp)
+    try:
+        if "half_separation" in pot:
+            a = pot["half_separation"]
+        else:  # a may underflow to 0, and mu_red alpha too
+            a = pot["half_separation_times_strength"] / (mp.mu_red * alpha)
+        return AmplitudeModel.double_dirac_delta(alpha, a, mp)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"$.potential: {exc}") from exc
 
 
 def _momentum_scale(unit: str, model: Optional[AmplitudeModel]) -> float:
@@ -359,7 +366,8 @@ def _engine_from(cfg: dict) -> dict:
 def _axis_values(axis_cfg: dict) -> np.ndarray:
     if "values" in axis_cfg:
         return np.asarray(axis_cfg["values"], dtype=float)
-    return np.linspace(axis_cfg["start"], axis_cfg["stop"], axis_cfg["num"])
+    # jsonschema counts a float such as 3.0 as an integer, which np.linspace rejects
+    return np.linspace(axis_cfg["start"], axis_cfg["stop"], int(axis_cfg["num"]))
 
 
 # --------------------------------------------------------------------------

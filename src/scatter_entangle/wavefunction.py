@@ -255,7 +255,8 @@ class ModeWavefunction:
             return self.amplitudes.amplitudes(q_abs)
 
     def scattered(self, t: ArrayLike, r: ArrayLike, p1: ArrayLike, p2: ArrayLike) -> np.ndarray:
-        """This scattering mode at (p1, p2), given t and r at those nodes' |q|.
+        """This scattering mode at (p1, p2), given t and r at those nodes' |q|;
+        ValueError for a mode that does not scatter.
 
         From 256 KiB up numpy forms the products in the Gaussian's own
         buffer (temporary elision), as psi * t; complex products with fused
@@ -267,4 +268,6 @@ class ModeWavefunction:
             return t * _eval_in_factored(state, pm)
         if self.mode is Mode.REFLECTED:
             return r * _eval_reflected_in(state, pm)
+        if self.mode is not Mode.OUT:
+            raise ValueError(f"mode {self.mode.value} does not scatter")
         return t * _eval_in_factored(state, pm) + r * _eval_reflected_in(state, pm)

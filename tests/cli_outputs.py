@@ -9,20 +9,25 @@ Each run gets three files in OUTDIR, named after it: ``NAME.out`` (the
 so running the script in two checkouts and comparing the directories with
 ``diff -r`` shows any byte a change moves. The runs:
 
-- every JSON config in README.md under a command's heading, read as
-  tests/test_readme.py reads them;
+- every JSON config in README.md under a command's heading
+  (``readme_configs``, which tests/test_readme.py also checks against each
+  command's schema);
 - the benchmark's reference sweep (``ReferenceSweep.CONFIG`` of
-  bench/workloads.py) with ``--workers 1 --strict`` and ``--workers 2``;
+  bench/workloads.py) with ``--workers 1 --strict`` (``reference_w1``) and
+  ``--workers 2`` (``reference_w2``), whose CSVs the CI workflow compares
+  with ``cmp``;
 - ``validate``;
 - ``purity --strict`` on each of ``STRICT``: packets with moved positions
-  and the light corners whose windows widen most (``workflow_0`` to
-  ``workflow_4``);
+  (``workflow_0``), the light corners whose windows widen most
+  (``workflow_1`` to ``workflow_4``) and a one-level ladder
+  (``workflow_5``);
 - a ``none`` potential, and a double delta on wide grids (``base_n``
   [64, 128]).
 
 Exits 1, after writing every output, if any run exited nonzero or wrote to
 stderr: a failed self check, a warning under ``PYTHONWARNINGS=error``, a
-traceback or a ``--strict`` message. About 6-11 s on a 2-core x86-64 machine.
+traceback or a ``--strict`` message. Its 15 runs took 6.5 s on a 2-core x86-64
+machine.
 """
 
 from __future__ import annotations
@@ -65,6 +70,12 @@ STRICT = [
      "state": {"k_over_b": 0.3, "sigma1_over_k": 0.05, "sigma2_over_k": 0.3}},
     {"masses": {"mu1": 0.9}, "potential": {"kind": "delta", "alpha": 1.0},
      "state": {"k_over_b": 3.0, "sigma1_over_k": 0.3, "sigma2_over_k": 0.05}},
+    # with n_cap = base_n the ladder has one level, which its
+    # every-other-node subgrid judges: a light hard-core packet is
+    # resolved there, so purity --strict must exit 0 on one 64^2 level
+    {"masses": {"mu1": 0.2}, "potential": {"kind": "hard_core"},
+     "state": {"k": 1.0, "sigma1_over_k": 0.05, "sigma2_over_k": 0.2},
+     "engine": {"base_n": 64, "n_cap": 64}},
 ]
 
 

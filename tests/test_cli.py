@@ -606,6 +606,71 @@ def test_an_axis_of_over_a_million_points_is_a_config_error(
     )
 
 
+@pytest.mark.parametrize(
+    "command, cfg_dict, axis",
+    [
+        ("amplitudes", AMPLITUDES_CFG, "q_grid"),
+        ("sweep", SWEEP_CFG, "k_axis"),
+        ("reflectmap", REFLECTMAP_CFG, "mu1_axis"),
+    ],
+)
+def test_an_axis_num_written_as_a_float_counts_as_its_integer(
+    tmp_path, capsys, command, cfg_dict, axis
+):
+    # jsonschema counts 3.0 as an integer, which np.linspace does not take
+    outputs = []
+    for num in (3, 3.0):
+        axis_cfg = dict(cfg_dict[axis], num=num)
+        cfg = write_config(tmp_path, "cfg.json", dict(cfg_dict, **{axis: axis_cfg}))
+        assert f'"num": {num}' in cfg.read_text()
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        outputs.append([line for line in lines if not line.startswith("# config-sha256: ")])
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
+
+
+DOUBLE_DELTA_AB = {"kind": "double_delta", "alpha": 6.25, "half_separation_times_strength": 10.0}
+# masses and potentials that the schema admits and the library rejects
+LIBRARY_REJECTS = {
+    # m1 + m2 overflows to inf, so mu1 = m1 / inf = 0
+    "summed_masses_overflow": (
+        {"masses": {"m1": 1e308, "m2": 1e308}},
+        "$.masses: mass fraction mu1 must lie in (0, 1), got 0.0",
+    ),
+    # a = (a b) / (mu_red alpha) underflows to 0
+    "half_separation_underflows": (
+        {"potential": dict(DOUBLE_DELTA_AB, alpha=1e300, half_separation_times_strength=1e-300)},
+        "$.potential: double delta needs a positive half separation",
+    ),
+    # mu_red alpha underflows to 0, which a b is divided by
+    "strength_scale_underflows": (
+        {
+            "masses": {"mu1": 0.2, "M": 1e-300},
+            "potential": dict(DOUBLE_DELTA_AB, alpha=1e-300, half_separation_times_strength=1.0),
+        },
+        "$.potential: float division by zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REJECTS)
+@pytest.mark.parametrize(
+    "command, cfg_dict",
+    [("amplitudes", AMPLITUDES_CFG), ("purity", DELTA_PURITY_CFG), ("sweep", SWEEP_CFG)],
+)
+def test_masses_and_potentials_the_library_rejects_exit_2(
+    tmp_path, capsys, command, cfg_dict, case
+):
+    overrides, message = LIBRARY_REJECTS[case]
+    cfg = write_config(tmp_path, "cfg.json", dict(cfg_dict, **overrides))
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 def test_unit_without_strength_scale_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

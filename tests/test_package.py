@@ -64,7 +64,7 @@ def test_no_command_imports_scipy(tmp_path):
     src = str(Path(scatter_entangle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "error", "-c", code],  # a warning fails the test too
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

@@ -1,10 +1,10 @@
 """The README's Python examples must run as written, and its configs must
 be valid for the commands they document."""
 
-import json
 import re
 from pathlib import Path
 
+from cli_outputs import readme_configs
 from scatter_entangle import cli
 from scatter_entangle.purity import check_ladder
 
@@ -48,15 +48,11 @@ def test_readme_configs_pass_their_commands_schema():
         "sweep": cli.SWEEP_SCHEMA,
         "reflectmap": cli.REFLECTMAP_SCHEMA,
     }
-    sections = re.split(r"^### (\S+)\n", README.read_text(), flags=re.M)
     checked = set()
-    for heading, body in zip(sections[1::2], sections[2::2]):
-        if heading in schemas:
-            for block in re.findall(r"```json\n(.*?)```", body, flags=re.S):
-                cfg = json.loads(block)
-                cli._check_schema(cfg, schemas[heading])
-                build(cfg)
-                checked.add(heading)
+    for command, cfg in readme_configs():
+        cli._check_schema(cfg, schemas[command])
+        build(cfg)
+        checked.add(command)
     assert checked == set(schemas)
 
 

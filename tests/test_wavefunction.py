@@ -243,6 +243,15 @@ def test_modes_that_scatter_require_a_model():
     ModeWavefunction(Mode.IN, st)  # fine without one
 
 
+@pytest.mark.parametrize("mode", [Mode.IN, Mode.REFLECTED_IN])
+def test_modes_that_do_not_scatter_take_no_amplitudes(mode):
+    st = make_state()
+    model = AmplitudeModel.dirac_delta(2.0, st.masses)
+    wavefn = ModeWavefunction(mode, st, model)
+    with pytest.raises(ValueError, match=f"mode {mode.value} does not scatter"):
+        wavefn.scattered(1.0, 0.0, st.k, -st.k)
+
+
 def test_jacobi_evaluation_matches_pair_form():
     st = make_state(mu1=0.2, s1=0.06, s2=0.11)
     rng = np.random.default_rng(11)

@@ -1,11 +1,9 @@
 """The CI workflow parses, its shell steps are valid bash, its command lines
-are valid for the CLI, its reference sweep runs the benchmark's
-reference config, and a step checks the tolerance audit's data against its
-script."""
+are valid for the CLI and turn warnings into errors, the CLI-outputs step
+compares the reference sweep's one- and two-worker CSVs that
+tests/cli_outputs.py writes, and a step checks the tolerance audit's data
+against its script."""
 
-import json
-import re
-import runpy
 import shlex
 import shutil
 import subprocess
@@ -14,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import cli_outputs
 from scatter_entangle import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,12 +36,14 @@ def test_every_run_block_is_valid_bash():
             assert res.returncode == 0, f"{step.get('name')}: {res.stderr}"
 
 
-def test_reference_sweep_step_runs_the_benchmark_config():
-    (run,) = [s["run"] for s in steps() if "scatter-entangle sweep" in s.get("run", "")]
-    heredoc = re.search(r"<<'EOF'\n(.*?)\nEOF\n", run, re.S)
-    assert heredoc is not None, run
-    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"), run_name="bench_workloads")
-    assert json.loads(heredoc.group(1)) == workloads["ReferenceSweep"].CONFIG
+def test_the_cli_outputs_step_compares_the_reference_sweeps():
+    # the benchmark's reference config must converge on every row with one
+    # worker, and give the same CSV with two
+    (run,) = [s["run"] for s in steps() if "python tests/cli_outputs.py" in s.get("run", "")]
+    assert 'cmp "$first/reference_w1.out" "$first/reference_w2.out"' in run.splitlines()
+    runs = {name: (args, cfg) for name, args, cfg in cli_outputs.runs()}
+    assert runs["reference_w1"][0] == ["sweep", "--workers", "1", "--strict"]
+    assert runs["reference_w2"] == (["sweep", "--workers", "2"], runs["reference_w1"][1])
 
 
 def test_every_cli_line_parses(capsys):
@@ -54,9 +55,7 @@ def test_every_cli_line_parses(capsys):
     ]
     assert lines
     for line in lines:
-        argv = shlex.split(line.replace("$cfg", "cfg.json"))[1:]
-        if ">" in argv:  # a shell redirection ends the command's own arguments
-            argv = argv[: argv.index(">")]
+        argv = shlex.split(line)[1:]
         try:
             cli.build_parser().parse_args(argv)
         except SystemExit as exc:  # --help exits 0, a usage error 2
