@@ -16,7 +16,8 @@ momenta, are a config error in ``amplitudes`` and
 ``purity`` and a row error in ``sweep``. So are the quadrature's failures
 at one point: a vanishing wave function, non-finite samples, and a squared
 norm too large to square, which only a grid that does not resolve the wave
-function samples.
+function samples. A momentum of ``amplitudes`` that underflows to 0 in
+absolute units is a config error too.
 Every input that changes a computed number, the engine's rel_tol included,
 comes from the config, whose SHA-256 every output carries; the flags
 (--out, --strict, --workers) only route the output, set the exit code or
@@ -446,7 +447,11 @@ def cmd_amplitudes(cfg: dict, sha: str, out: Optional[Path]) -> int:
     model = _potential_from(cfg, mp)
     unit = cfg["q_grid"].get("unit", "absolute")
     q_axis = _axis_values(cfg["q_grid"])
-    q_abs = q_axis * _momentum_scale(unit, model)
+    with np.errstate(over="ignore"):  # an infinite q reads as non-finite amplitudes
+        q_abs = q_axis * _momentum_scale(unit, model)
+    if not np.all(q_abs > 0.0):
+        q_bad = float(q_axis[np.argmin(q_abs > 0.0)])
+        raise ConfigError(f"momentum q = {q_bad!r} in '{unit}' units underflows to 0")
     columns = [
         ("q", f"relative momentum in '{unit}' units"),
         ("re_t", "Re t(q)"),
@@ -614,7 +619,8 @@ def cmd_sweep(cfg: dict, sha: str, out: Optional[Path], workers: int, strict: bo
     scale = _momentum_scale(unit, model)
     k_axis = _axis_values(cfg["k_axis"])
     point = partial(_sweep_point, model, cfg["state"], _engine_from(cfg))
-    ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
+    with np.errstate(over="ignore"):  # an infinite k is its row's error
+        ks, ks_abs = k_axis.tolist(), (k_axis * scale).tolist()
     names = [name for name, _ in SWEEP_COLUMNS]
     with _open_out(out) as stream:
         with ThreadPoolExecutor(max_workers=workers) as pool:

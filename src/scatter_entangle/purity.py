@@ -17,8 +17,9 @@ the name that implements it:
 - the Gram matrix: :meth:`WeightedAmplitudeMatrix.gram`;
 - purity and spectrum: :func:`purity_from_matrix` and :func:`_schmidt_spectrum`;
 - the refinement ladders: :func:`check_ladder` for their settings and
-  :func:`_refine` for their stopping rule, a first level's check on its
-  every-other-node subgrid included;
+  :func:`_refine` for their stopping rule, which reads each ladder's one
+  list of changes, a first level's check on its every-other-node subgrid
+  as its entry;
 - the out-state's branch split and its ``converged``: :func:`purity_out`;
 - the two 1-D integrals over q, which sample no grid: :func:`_branch_overlap`
   and :func:`_oob_tails`.
@@ -244,7 +245,8 @@ def _q_lattice(
     if not (isinstance(wavefn, ModeWavefunction) and wavefn.mode in _NEEDS_MODEL):
         return None
     mp = wavefn.in_state.masses
-    x = mp.mu2 * h1 / (mp.mu1 * h2)
+    den = mp.mu1 * h2  # may underflow to 0, a ratio beyond the doubles
+    x = mp.mu2 * h1 / den if den else math.inf
     ab = _simplest_fraction(x * (1.0 - _COMMENSURATE_RTOL), x * (1.0 + _COMMENSURATE_RTOL))
     if ab is None:
         return None
@@ -336,10 +338,12 @@ def purity_from_matrix(
     purity = ||G||_F^2 / Tr(G)^2, computed before and independently of the
     spectrum. The spectrum, G's eigenvalues over Tr(G) in descending order
     (see :func:`_schmidt_spectrum` for its accuracy), is computed only when
-    ``spectrum`` is true (None otherwise), so that a refinement ladder pays
-    for it once rather than once per level. Checked in the test suite
-    against the singular values of A, a dense eigensolve of G and an O(N^4)
-    direct contraction of the purity integral.
+    ``spectrum`` is true (None otherwise), so that a caller that reads only
+    the purity skips the factorization: every level of a refinement ladder
+    and its subgrid check pass false, and a ladder's report factors its
+    last level's G with :func:`_schmidt_spectrum` itself. Checked in the
+    test suite against the singular values of A, a dense eigensolve of G
+    and an O(N^4) direct contraction of the purity integral.
 
     Raises :class:`ZeroWavefunctionError` once Tr(G)^2 falls below the
     smallest normal double (Tr(G) below 1.5e-154): ||G||_F^2 <= Tr(G)^2 is
@@ -513,21 +517,19 @@ def check_ladder(rel_tol: float = _REL_TOL, base_n: NPair = _BASE_N, n_cap: NPai
 class _Ladder:
     """One wave function's refinement ladder, holding only its last level's numbers.
 
-    ``d_purity`` and ``d_norm`` are the last three changes between levels,
-    oldest first, NaN where the ladder has fewer levels; ``d_first`` holds
-    the first level's changes of purity and norm from its subgrid, which
-    :func:`_refine` reads instead while the ladder has one level.
-    :meth:`sample` reduces each level as it is drawn to what the ladder and
-    its report read of it: purity, norm and, for a spectrum, the Gram
-    matrix G. So no ladder holds samples A past the level that drew them.
+    ``changes`` are its (purity change, norm change) pairs that
+    :func:`_refine` reads, newest last: a first level's one pair is its
+    subgrid's (:func:`_subgrid_changes`), which the second level replaces
+    with the first change between levels, and later levels append theirs,
+    keeping the last three. :meth:`sample` reduces each level as it is
+    drawn to what the ladder and its report read of it: purity, norm and,
+    for a spectrum, the Gram matrix G. So no ladder holds samples A past
+    the level that drew them.
     """
 
     def __init__(self, wavefn, grid: GridSpec, n_cap: NPair, spectrum: bool) -> None:
         self.wavefn, self.grid, self.caps, self.spectrum = wavefn, grid, _as_pair(n_cap), spectrum
         self.trace = []
-        self.purity = self.norm_sq = float("nan")
-        self.d_purity = self.d_norm = (float("nan"),) * 3
-        self.d_first = (float("nan"),) * 2
         self.gram = None
 
     def sample(self) -> None:
@@ -535,9 +537,10 @@ class _Ladder:
         wam = discretize(self.wavefn, self.grid)
         purity, _ = purity_from_matrix(wam, spectrum=False)
         if not self.trace:
-            self.d_first = _subgrid_changes(wam, purity)
-        self.d_purity = self.d_purity[1:] + (purity - self.purity,)
-        self.d_norm = self.d_norm[1:] + (wam.norm_sq - self.norm_sq,)
+            self.changes = [_subgrid_changes(wam, purity)]
+        else:
+            kept = self.changes[-2:] if len(self.trace) > 1 else []  # forget the subgrid
+            self.changes = kept + [(purity - self.purity, wam.norm_sq - self.norm_sq)]
         self.purity, self.norm_sq = purity, wam.norm_sq
         self.trace.append((self.grid.n1, self.grid.n2, purity))
         if self.spectrum:
@@ -589,47 +592,33 @@ def _weights(ladders: Sequence[_Ladder]) -> list:
 _RATIO = 0.5
 
 
-def _last_change(d: Tuple[float, float, float]) -> float:
-    return abs(d[-1])
+def _geometric_tail(d: Sequence[float]) -> float:
+    """The geometric tail of :func:`_refine` for a ladder's last changes, newest last.
 
-
-def _geometric_tail(d: Tuple[float, float, float]) -> float:
-    """The geometric tail of :func:`_refine` for changes (d_{n-2}, d_{n-1}, d_n).
-
-    |d_n| where the tail does not apply, as for a zero or unknown earlier change.
+    |d_n| where the tail does not apply: fewer than three changes, or a
+    zero earlier one.
     """
-    d2, d1, d0 = d
-    if d1 != 0.0 and d2 != 0.0:
-        rho = abs(d0 / d1)
-        if rho < _RATIO and abs(d1 / d2) < _RATIO:
-            return abs(d0) * rho / (1.0 - rho)
-    return abs(d0)
-
-
-def _changes(lad: _Ladder) -> Tuple[tuple, tuple]:
-    """A ladder's purity and norm changes: between its levels, or its first level's subgrid's."""
-    if math.isnan(lad.d_purity[-1]):
-        return tuple((math.nan, math.nan, d) for d in lad.d_first)
-    return lad.d_purity, lad.d_norm
-
-
-def _shares(ladders: Sequence[_Ladder], change: Callable) -> list:
-    """Each ladder's share of the total's relative error, ``change`` read from its changes."""
-    w = _weights(ladders)
-    n = sum(lad.norm_sq for lad in ladders)
-    total = sum(wb**2 * lad.purity for wb, lad in zip(w, ladders))
-    return [
-        (wb**2 * change(dp) + 2.0 * abs(wb * lad.purity - total) * change(dn) / n) / total
-        for wb, lad, (dp, dn) in zip(w, ladders, map(_changes, ladders))
-    ]
+    if len(d) == 3 and d[0] != 0.0 and d[1] != 0.0:
+        rho = abs(d[2] / d[1])
+        if rho < _RATIO and abs(d[1] / d[0]) < _RATIO:
+            return abs(d[2]) * rho / (1.0 - rho)
+    return abs(d[-1])
 
 
 def _estimate(ladders: Sequence[_Ladder], rel_tol: float) -> Tuple[float, list]:
     """(error estimate of the total, each ladder's raw share), as defined at :func:`_refine`."""
-    raw = _shares(ladders, _last_change)
+    w = _weights(ladders)
+    n = sum(lad.norm_sq for lad in ladders)
+    total = sum(wb**2 * lad.purity for wb, lad in zip(w, ladders))
+
+    def share(wb: float, lad: _Ladder, dp: float, dn: float) -> float:
+        return (wb**2 * dp + 2.0 * abs(wb * lad.purity - total) * dn / n) / total
+
+    raw = [share(wb, lad, *map(abs, lad.changes[-1])) for wb, lad in zip(w, ladders)]
     est = sum(raw)
     if est > rel_tol:
-        geo = sum(_shares(ladders, _geometric_tail))
+        tails = (map(_geometric_tail, zip(*lad.changes)) for lad in ladders)
+        geo = sum(share(wb, lad, *d) for wb, lad, d in zip(w, ladders, tails))
         if geo <= rel_tol:
             return geo, raw
     return est, raw
@@ -656,32 +645,35 @@ def _refine(ladders: Sequence[_Ladder], rel_tol: float) -> float:
     reached its caps first.
 
     The raw estimate reads |dp_b| and |dn_b| as each ladder's last change
-    d_n, which measures the error of the level before the reported one.
-    The midpoint rule converges geometrically on these analytic integrands
-    (see :func:`axis_nodes`), and a ladder's last level often only confirms
-    the one before it; so where the raw estimate misses rel_tol a second
-    one is tried: a change whose last two ratios rho = |d_n / d_{n-1}| and
-    |d_{n-1} / d_{n-2}| both lie below ``_RATIO`` = 1/2 is read as the tail
-    |d_n| rho / (1 - rho) of a geometric series, purity and norm changes
-    each on their own. If that estimate meets rel_tol, refinement stops one
-    level early and returns it; it does so on 2 of the reference sweep's
-    24 rows. Two ratios are asked for, not one, after Laurie's conditions
-    for trusting an extrapolated error estimate (BIT 23, 258, 1983): one
-    small ratio alone does not show that the changes have settled into a
-    geometric series. The ladder to double is still chosen by raw share, so
-    every ladder's levels are a prefix of those the raw estimate alone
-    would sample.
+    d_n, the newest entry of ``_Ladder.changes``, which measures the error
+    of the level before the reported one. The midpoint rule converges
+    geometrically on these analytic integrands (see :func:`axis_nodes`),
+    and a ladder's last level often only confirms the one before it; so
+    where the raw estimate misses rel_tol a second one is tried: a change
+    whose last two ratios rho = |d_n / d_{n-1}| and |d_{n-1} / d_{n-2}|
+    both lie below ``_RATIO`` = 1/2 is read as the tail |d_n| rho / (1 - rho)
+    of a geometric series, purity and norm changes each on their own
+    (:func:`_geometric_tail`, which needs three changes between levels,
+    neither earlier one zero). If that estimate meets rel_tol, refinement
+    stops one level early and returns it; it does so on 2 of the reference
+    sweep's 24 rows. Two ratios are asked for, not one, after Laurie's
+    conditions for trusting an extrapolated error estimate (BIT 23, 258,
+    1983): one small ratio alone does not show that the changes have
+    settled into a geometric series. The ladder to double is still chosen
+    by raw share, so every ladder's levels are a prefix of those the raw
+    estimate alone would sample.
 
     A ladder with one level has no change between levels yet, so its dp
     and dn are read from its first level's subgrid A[::2, ::2], every
-    other node of each axis with weights 4 h1 h2 (``_Ladder.d_first``, from
-    :func:`_subgrid_changes`): the level's own samples on an equispaced
-    rule of twice the step, which converges like the midpoint rule on these
-    integrands (see :func:`axis_nodes`) and costs a Gram matrix of a
-    quarter of the nodes. So a resolved point stops at its base grid, and a
-    ladder that reaches a second level forgets the subgrid. Where the
-    subgrid vanishes (:class:`ZeroWavefunctionError`) the share is unknown
-    (NaN) and that ladder doubles first.
+    other node of each axis with weights 4 h1 h2 (the one entry of
+    ``_Ladder.changes``, from :func:`_subgrid_changes`): the level's own
+    samples on an equispaced rule of twice the step, which converges like
+    the midpoint rule on these integrands (see :func:`axis_nodes`) and
+    costs a Gram matrix of a quarter of the nodes. So a resolved point
+    stops at its base grid, and a ladder that reaches a second level
+    forgets the subgrid: the first change between levels replaces its
+    entry. Where the subgrid vanishes (:class:`ZeroWavefunctionError`) the
+    share is unknown (NaN) and that ladder doubles first.
 
     Neither estimate is a bound. On the tolerance audit's 192 reference-row
     and criterion-10 points the reported total lies within its estimate of
@@ -760,7 +752,8 @@ def _commensurate(masses, w1: AxisWindow, w2: AxisWindow) -> Tuple[AxisWindow, A
     their relative momenta lie on a lattice (see :func:`_q_lattice`). The
     window on the side the fraction lies is widened; neither gets narrower.
     """
-    ratio = masses.mu2 * w1.halfwidth / (masses.mu1 * w2.halfwidth)
+    den = masses.mu1 * w2.halfwidth  # may underflow to 0, a ratio beyond the doubles
+    ratio = masses.mu2 * w1.halfwidth / den if den else math.inf
     cd = _simplest_fraction(ratio / _WIDEN, ratio * _WIDEN)
     if cd is None:  # a ratio beyond the doubles, which no lattice would serve
         return w1, w2

@@ -848,6 +848,90 @@ def test_amplitudes_that_overflow_at_k_are_a_config_error_or_a_row_error(tmp_pat
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "masses, potential, start",
+    [
+        (
+            {"mu1": 0.2},
+            {"kind": "double_delta", "alpha": 1.0, "half_separation_times_strength": 10.0},
+            5e-324,
+        ),
+        ({"mu1": 5e-324}, {"kind": "delta", "alpha": 1.0}, 0.5),
+    ],
+    ids=["q_start", "mu1"],
+)
+def test_a_momentum_that_underflows_to_zero_is_a_config_error(
+    tmp_path, capsys, masses, potential, start
+):
+    # q times the unit's scale b underflows to 0, which no amplitude accepts
+    q_grid = {"start": start, "stop": 1.0, "num": 3, "unit": "b"}
+    cfg_dict = {"masses": masses, "potential": potential, "q_grid": q_grid}
+    cfg = write_config(tmp_path, "amp.json", cfg_dict)
+    assert run(["amplitudes", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: momentum q = {start!r} in 'b' units underflows to 0\n"
+
+
+def test_an_axis_that_overflows_in_absolute_units_leaks_no_warning(tmp_path):
+    # pytest's warning filter does not reach a fresh interpreter; -W error does.
+    # q or k times the unit's scale b overflows to inf, which the amplitudes'
+    # finiteness check and the in-state's range check report
+    dd = {"kind": "double_delta", "alpha": 1e160, "half_separation_times_strength": 10.0}
+    q_grid = {"start": 1.0, "stop": 1.7e308, "num": 3, "unit": "b"}
+    cfg = write_config(
+        tmp_path, "amp.json", {"masses": {"mu1": 0.2}, "potential": dd, "q_grid": q_grid}
+    )
+    argv = ["-W", "error", "-m", "scatter_entangle.cli", "amplitudes", "--config", str(cfg)]
+    proc = _python(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"config error: {NOT_FINITE}inf\n"
+
+    k_axis = {"start": 0.5, "stop": 1e160, "num": 3, "unit": "b"}
+    cfg_dict = dict(SWEEP_CFG, potential={"kind": "delta", "alpha": 1.7e308}, k_axis=k_axis)
+    cfg = write_config(tmp_path, "sweep.json", cfg_dict)
+    out = tmp_path / "sweep.csv"
+    argv = ["-W", "error", "-m", "scatter_entangle.cli", "sweep", "--config", str(cfg)]
+    proc = _python([*argv, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _, cols = read_csv(out)
+    assert cols["k"] == ["0.5", "5e+159", "1e+160"]
+    assert all(e.startswith("ValueError: k, sigma1 and sigma2 must lie in") for e in cols["error"])
+    assert all(e.endswith("got (inf, inf, inf)") for e in cols["error"][1:])
+
+
+# mu1 times a window's half-width or a grid's step underflows to 0, so the
+# q-lattice's ratio of steps lies beyond the doubles: the windows stay as
+# they are and each level samples without a lattice
+UNDERFLOWING_STEP_RATIO = [
+    pytest.param("purity", 5e-324, 0.1, id="purity_mu1_5e-324"),
+    pytest.param("purity", 1e-308, 1e-150, id="purity_mu1_1e-308"),
+    pytest.param("sweep", 5e-324, 0.1, id="sweep_mu1_5e-324"),
+]
+
+
+@pytest.mark.parametrize("command, mu1, sigma2_over_k", UNDERFLOWING_STEP_RATIO)
+def test_a_step_ratio_beyond_the_doubles_samples_without_a_lattice(
+    tmp_path, command, mu1, sigma2_over_k
+):
+    state = {"sigma1_over_k": 0.2, "sigma2_over_k": sigma2_over_k}
+    cfg_dict = dict(FAST_DELTA_CFG, masses={"mu1": mu1})
+    if command == "purity":
+        cfg_dict["state"] = dict(state, k=0.999999)
+    else:
+        cfg_dict.update(state=state, k_axis={"start": 0.5, "stop": 1.5, "num": 3})
+    cfg = write_config(tmp_path, f"{command}.json", cfg_dict)
+    out = tmp_path / "out"
+    argv = ["-W", "error", "-m", "scatter_entangle.cli", command, "--config", str(cfg)]
+    proc = _python([*argv, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == "sweep":
+        _, cols = read_csv(out)
+        assert cols["error"] == ["", "", ""]
+    else:
+        assert json.loads(out.read_text())["report"]["purity"] > 0.0
+
+
 def _non_finite_samples(k, widths_over_k):
     """Non-finite samples of the overflowing double delta on its transmitted ladder's first grid."""
     mp = MassPartition(0.2)

@@ -686,21 +686,21 @@ def test_mode_split_matches_the_joint_grid_where_the_packets_overlap():
     assert abs(rep.purity - joint.purity) <= 1e-6 * joint.purity
 
 
-def _history(d):
-    """A ladder's last three changes, oldest first; one number is the last change."""
-    return d if isinstance(d, tuple) else (math.nan, math.nan, d)
+def _purity_changes(*d):
+    """(purity change, norm change) pairs of the given purity changes, with no norm change."""
+    return [(di, 0.0) for di in d]
 
 
 class _StubLadder:
-    """A sampled ladder with given changes, at its node caps unless given
-    ``more``: the purity changes of the levels left to sample, with no norm
-    change. ``d_first`` are its first level's subgrid changes, which a
-    ladder with NaN changes between levels has only."""
+    """A sampled ladder with the given ``changes``, (purity change, norm
+    change) pairs newest last, at its node caps unless given ``more``: the
+    purity changes of the levels left to sample, each appended as a pair
+    with no norm change, the last three kept. Whether a ladder's one pair is
+    its first level's subgrid check does not enter the estimate; the rule
+    that replaces it is tested on :class:`_Ladder` itself."""
 
-    def __init__(self, norm_sq, purity, d_purity, d_norm=0.0, more=(), d_first=(math.nan,) * 2):
-        self.norm_sq, self.purity = norm_sq, purity
-        self.d_purity, self.d_norm = _history(d_purity), _history(d_norm)
-        self.d_first = d_first
+    def __init__(self, norm_sq, purity, changes, more=()):
+        self.norm_sq, self.purity, self.changes = norm_sq, purity, list(changes)
         self.more = list(more)
         self.grid, self.caps = GridSpec(32, 32, AxisWindow(0.0, 1.0), AxisWindow(0.0, 1.0)), (1024, 1024)
 
@@ -710,38 +710,63 @@ class _StubLadder:
     def sample(self):
         d = self.more.pop(0)
         self.purity += d
-        self.d_purity, self.d_norm = self.d_purity[1:] + (d,), self.d_norm[1:] + (0.0,)
+        self.changes = self.changes[-2:] + [(d, 0.0)]
+
+
+def test_a_ladder_keeps_its_subgrid_check_then_its_last_three_changes(monkeypatch):
+    # scripted levels whose changes are exact in binary: purities 1/2,
+    # 3/4, 7/8, ... and squared norms 2, 3/2, 5/4, ...
+    levels = iter([(0.5, 2.0), (0.75, 1.5), (0.875, 1.25), (0.9375, 1.125), (0.96875, 1.0625)])
+    subgrid = (1e-3, 2e-3)
+
+    class Level:
+        def __init__(self):
+            self.purity, self.norm_sq = next(levels)
+
+    monkeypatch.setattr(purity_module, "discretize", lambda wavefn, grid: Level())
+    monkeypatch.setattr(
+        purity_module, "purity_from_matrix", lambda wam, spectrum: (wam.purity, None)
+    )
+    monkeypatch.setattr(purity_module, "_subgrid_changes", lambda wam, purity: subgrid)
+    grid = GridSpec(32, 32, AxisWindow(0.0, 1.0), AxisWindow(0.0, 1.0))
+    lad = purity_module._Ladder(None, grid, 1024, spectrum=False)
+    d1, d2, d3, d4 = (0.25, -0.5), (0.125, -0.25), (0.0625, -0.125), (0.03125, -0.0625)
+    want = [[subgrid], [d1], [d1, d2], [d1, d2, d3], [d2, d3, d4]]
+    for changes in want:
+        lad.sample()
+        assert lad.changes == changes
+    assert [tr[2] for tr in lad.trace] == [0.5, 0.75, 0.875, 0.9375, 0.96875]
+    assert (lad.purity, lad.norm_sq) == (0.96875, 1.0625)
 
 
 def test_branch_changes_that_cancel_keep_the_estimate_up():
     # w_t = w_r = 1/2, so the total P = (0.4 + 0.6) / 4 = 0.25 does not move
     # when p_t rises by 1e-4 and p_r falls by as much
-    ladders = [_StubLadder(0.5, 0.4, 1e-4), _StubLadder(0.5, 0.6, -1e-4)]
+    ladders = [_StubLadder(0.5, 0.4, [(1e-4, 0.0)]), _StubLadder(0.5, 0.6, [(-1e-4, 0.0)])]
     est = purity_module._refine(ladders, 1e-5)
     assert est == pytest.approx(2 * 0.25 * 1e-4 / 0.25, rel=1e-12)
     assert est > 1e-5
     # a norm change enters through the weights, 2 |w_b p_b - P| |dn_b| / N
-    ladders = [_StubLadder(0.5, 0.4, 0.0, 1e-4), _StubLadder(0.5, 0.6, 0.0, -1e-4)]
+    ladders = [_StubLadder(0.5, 0.4, [(0.0, 1e-4)]), _StubLadder(0.5, 0.6, [(0.0, -1e-4)])]
     est = purity_module._refine(ladders, 1e-5)
     assert est == pytest.approx(2 * 2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
 
 
 def test_a_one_level_ladder_is_judged_by_its_subgrid():
     # one level: no change between levels, so the subgrid's changes are read
-    one = (math.nan,) * 3
-    lad = _StubLadder(1.0, 0.5, one, one, more=[1e-9], d_first=(1e-6, 0.0))
+    lad = _StubLadder(1.0, 0.5, [(1e-6, 0.0)], more=[1e-9])
     assert purity_module._refine([lad], 1e-5) == 1e-6 / 0.5
     assert lad.more == [1e-9]
     # a norm change of the subgrid counts through the weights as between levels
     ladders = [
-        _StubLadder(0.5, 0.4, one, one, d_first=(0.0, 1e-4)),
-        _StubLadder(0.5, 0.6, 0.0),
+        _StubLadder(0.5, 0.4, [(0.0, 1e-4)]),
+        _StubLadder(0.5, 0.6, [(0.0, 0.0)]),
     ]
     assert purity_module._refine(ladders, 1e-3) == pytest.approx(2 * 0.05 * 1e-4 / 0.25, rel=1e-12)
     # a vanished subgrid leaves the share unknown: that ladder doubles,
     # although the other's known share (1e-3) already meets rel_tol
-    vanished = _StubLadder(0.5, 0.4, one, one, more=[1e-9])
-    ladders = [_StubLadder(0.5, 0.6, 1e-3, more=[1e-9]), vanished]
+    vanished = _StubLadder(0.5, 0.4, [(math.nan, math.nan)], more=[1e-9])
+    ladders = [_StubLadder(0.5, 0.6, [(1e-3, 0.0)], more=[1e-9]), vanished]
     assert purity_module._refine(ladders, 1e-2) == pytest.approx(1e-3, rel=1e-6)
     assert vanished.more == []
     assert ladders[0].more == [1e-9]
@@ -750,13 +775,14 @@ def test_a_one_level_ladder_is_judged_by_its_subgrid():
 def test_two_geometric_ratios_stop_the_ladder_with_the_tail():
     # ratios 0.4 then 0.25: the raw estimate 1e-4 / 0.5 misses rel_tol, the
     # tail 1e-4 * 0.25 / 0.75 / 0.5 meets it, and no level is sampled
-    lad = _StubLadder(1.0, 0.5, (1e-3, 4e-4, 1e-4), more=[1e-5])
+    lad = _StubLadder(1.0, 0.5, _purity_changes(1e-3, 4e-4, 1e-4), more=[1e-5])
     est = purity_module._refine([lad], 1e-4)
     assert est == pytest.approx(1e-4 * (0.25 / 0.75) / 0.5, rel=1e-12)
     assert lad.more == [1e-5]
     # norm changes are read as a tail on their own: P = 0.25 and
     # 2 |w_b p_b - P| / N = 0.1, so the raw estimate reads 4e-5
-    ladders = [_StubLadder(0.5, 0.4, 0.0, (1e-3, 4e-4, 1e-4)), _StubLadder(0.5, 0.6, 0.0)]
+    norm_changes = [(0.0, 1e-3), (0.0, 4e-4), (0.0, 1e-4)]
+    ladders = [_StubLadder(0.5, 0.4, norm_changes), _StubLadder(0.5, 0.6, [(0.0, 0.0)])]
     est = purity_module._refine(ladders, 2e-5)
     assert est == pytest.approx(0.1 * 1e-4 * (0.25 / 0.75) / 0.25, rel=1e-12)
 
@@ -767,7 +793,7 @@ def test_one_small_ratio_after_a_large_one_does_not_stop_the_ladder():
     # ratio stopped it 1.1e-5 from the total. Here the tail would read
     # 2.5e-6, but the ratio before is 0.9, so the ladder doubles and stops
     # on the raw change of the next level.
-    lad = _StubLadder(1.0, 0.5, (1e-4, 9e-5, 1e-5), more=[1e-6])
+    lad = _StubLadder(1.0, 0.5, _purity_changes(1e-4, 9e-5, 1e-5), more=[1e-6])
     est = purity_module._refine([lad], 1e-5)
     assert lad.more == []
     assert est == 1e-6 / (0.5 + 1e-6)
@@ -777,14 +803,16 @@ def test_one_small_ratio_after_a_large_one_does_not_stop_the_ladder():
     "changes", [(0.0, 1e-4, 1e-5), (1e-3, 0.0, 1e-5)], ids=["d_n-2", "d_n-1"]
 )
 def test_a_zero_earlier_change_keeps_the_last_change(changes):
-    # numpy zeros, whose quotient would warn, and the warning fail the suite
-    lad = _StubLadder(1.0, 0.5, tuple(np.float64(d) for d in changes))
+    # numpy zeros, whose quotient would warn, and the warning fail the suite;
+    # the norm changes are numpy zeros too
+    zero = np.float64(0.0)
+    lad = _StubLadder(1.0, 0.5, [(np.float64(d), zero) for d in changes])
     assert purity_module._refine([lad], 1e-5) == 1e-5 / 0.5
 
 
 def test_a_raw_estimate_within_rel_tol_is_reported_as_it_is():
     # geometric changes, but the raw estimate 2e-6 already meets rel_tol
-    lad = _StubLadder(1.0, 0.5, (1e-3, 4e-4, 1e-6))
+    lad = _StubLadder(1.0, 0.5, _purity_changes(1e-3, 4e-4, 1e-6))
     assert purity_module._refine([lad], 1e-5) == 1e-6 / 0.5
 
 

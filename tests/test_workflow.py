@@ -1,12 +1,16 @@
 """The CI workflow parses, its shell steps are valid bash, its command lines
 are valid for the CLI and turn warnings into errors, the CLI-outputs step
 compares the reference sweep's one- and two-worker CSVs that
-tests/cli_outputs.py writes, and a step checks the tolerance audit's data
-against its script."""
+tests/cli_outputs.py writes, a step checks the tolerance audit's data
+against its script, and one bench smoke step runs every workload traced and
+then untraced, failing on the first run that is not "correct"."""
 
+import json
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,31 @@ def test_a_step_checks_the_tolerance_audit_data_against_its_script():
     lines = [line.strip() for step in steps() for line in step.get("run", "").splitlines()]
     assert "python tests/tolerance_audit.py --check" in lines
     assert (ROOT / "tests" / "tolerance_audit.py").is_file()
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+@pytest.mark.parametrize("correct", ["true", "false"])
+def test_the_bench_smoke_checks_every_workload_traced_and_untraced(tmp_path, correct):
+    # the step runs under a python3 that records each bench/run.py call and
+    # prints the given "correct" as its last line; any other call is real
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    (run,) = [s["run"] for s in steps() if "bench/run.py" in s.get("run", "")]
+    log = tmp_path / "calls"
+    stub = tmp_path / "python3"
+    stub.write_text(
+        f'#!/bin/sh\nif [ "$1" = bench/run.py ]; then\n  echo "$@" >> {log}\n'
+        f"  echo '{{\"correct\": {correct}}}'\n  exit 0\nfi\nexec {sys.executable} \"$@\"\n"
+    )
+    stub.chmod(0o755)
+    env = dict(os.environ, PATH=f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    res = subprocess.run(["bash", "-e", "-c", run], env=env, capture_output=True, text=True)
+    calls = log.read_text().splitlines()
+    if correct == "false":  # the first run that is not correct fails the step
+        assert res.returncode != 0 and len(calls) == 1
+        return
+    assert res.returncode == 0, res.stderr
+    assert calls == [
+        f"bench/run.py --workload {w} --seed 0 --seconds 1 --trace {trace}"
+        for trace in (1, 0)
+        for w in workloads
+    ]

@@ -135,7 +135,7 @@ def grids(rep: purity.PurityReport) -> dict:
 def raw_changes_only():
     """Read every change raw, as the ladders did before the geometric estimate."""
     tail = purity._geometric_tail
-    purity._geometric_tail = purity._last_change
+    purity._geometric_tail = lambda d: abs(d[-1])  # the last change, as the raw estimate reads it
     try:
         yield
     finally:
